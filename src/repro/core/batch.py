@@ -85,10 +85,9 @@ def solve_many(
     materialize:
         When ``True`` (default) an oracle metric is materialized into a
         shared :class:`~repro.metrics.matrix.DistanceMatrix` once (O(n²),
-        amortized over all queries), so every query runs on the vectorized
-        kernel path.  Set to ``False`` for ground sets too large to
-        materialize; queries then restrict the oracle pairwise (O(k²) oracle
-        calls each) and solve on the loop paths.
+        amortized over all queries), so every query's kernel blocks are
+        slices.  Set to ``False`` for ground sets too large to materialize;
+        queries then restrict the oracle pairwise (O(k²) oracle calls each).
     max_workers:
         Optional thread-pool size for the per-query map.  Only honored when
         the shared instance is oracle-free (matrix-backed metric + modular
@@ -174,9 +173,9 @@ def solve_many(
         if sharded:
             from repro.core.sharding import solve_sharded
 
-            # The outer query map stays sequential for lazy metrics (no
-            # matrix fast path), so hand the worker budget to the per-query
-            # shard map instead of dropping it.
+            # The outer query map stays sequential for lazy metrics (its
+            # thread pool needs a matrix-backed metric), so hand the worker
+            # budget to the per-query shard map instead of dropping it.
             return solve_sharded(
                 shared_quality,
                 shared_metric,
@@ -205,7 +204,9 @@ def solve_many(
         return restriction.lift(result)
 
     pools = [tuple(query) for query in queries]
-    oracle_free = kernels.matrix_fast_path(objective) is not None
+    oracle_free = (
+        objective.metric.matrix_view() is not None and objective.quality.is_modular
+    )
     if max_workers is not None and max_workers > 1 and oracle_free and len(pools) > 1:
         from concurrent.futures import ThreadPoolExecutor
 

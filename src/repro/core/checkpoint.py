@@ -10,7 +10,7 @@ A :class:`SolveCheckpoint` is a plain-data snapshot of a solve in progress:
   so a resumed run skips straight to the unsolved shards.
 
 Checkpoints hold only primitive Python/tuple data (like
-:class:`~repro.utils.timing.Stopwatch`, nothing in them depends on live
+:class:`~repro.obs.trace.Stopwatch`, nothing in them depends on live
 locks, clocks or array views), so they pickle across process boundaries and
 can be written to disk between sessions.  Emission is pull-free: callers pass
 ``checkpoint_every=`` and an ``on_checkpoint`` callback to

@@ -46,28 +46,6 @@ from repro.utils.validation import check_cardinality
 _LAZY_BATCH = 8
 
 
-def _best_pair(objective: Objective, candidates: Iterable[Element]) -> tuple:
-    """Return the candidate pair maximizing ``f({x,y}) + λ·d(x,y)``."""
-    pool = list(candidates)
-    fast = kernels.matrix_fast_path(objective)
-    if fast is not None and len(pool) >= 2:
-        weights, matrix = fast
-        move = kernels.pair_argmax(weights, matrix, objective.tradeoff, pool)
-        assert move is not None
-        return move[0], move[1]
-    best = None
-    best_value = -float("inf")
-    for i, x in enumerate(pool):
-        for y in pool[i + 1 :]:
-            value = objective.pair_value(x, y)
-            if value > best_value:
-                best_value = value
-                best = (x, y)
-    if best is None:
-        raise InvalidParameterError("best-pair start needs at least two candidates")
-    return best
-
-
 def greedy_diversify(
     objective: Objective,
     p: int,
@@ -178,6 +156,8 @@ def greedy_diversify(
     iterations = 0
     interrupted = False
 
+    quality = objective.quality
+    weights = kernels.modular_weights(quality)
     fingerprint = universe_fingerprint("solve", "greedy", n, objective.tradeoff)
     seeded: List[Element] = []
     if resume_from is not None:
@@ -187,7 +167,9 @@ def greedy_diversify(
         if deadline is not None and deadline.expired():
             interrupted = True
         else:
-            seeded = list(_best_pair(objective, range(n)))
+            # The improved start: the pair maximizing f({x, y}) + λ·d(x, y).
+            x, y, _ = kernels.pair_argmax(objective, weights, range(n))
+            seeded = [x, y]
             iterations += 1
     for element in seeded:
         selected.add(element)
@@ -195,7 +177,6 @@ def greedy_diversify(
         tracker.add(element)
         remaining.discard(element)
 
-    quality = objective.quality
     quality_scale = 1.0 if oblivious else 0.5
     penalty = np.full(n, -np.inf)
     penalty[list(remaining)] = 0.0
@@ -209,8 +190,8 @@ def greedy_diversify(
     # loop.  (Candidate pools never reach this code: they are re-indexed into
     # a dense sub-universe by the restriction layer above.)
     scaled_weights = None
-    if quality.is_modular:
-        scaled_weights = quality_scale * kernels.modular_weights(quality)
+    if weights is not None:
+        scaled_weights = quality_scale * weights
         scores = np.empty(n, dtype=float)
     else:
         # Submodular fast path: quality gains served by the stateful batched

@@ -1,27 +1,30 @@
-"""Vectorized distance kernels — the matrix-backed fast path.
+"""Array kernels: the one code path of every pair and swap scan.
 
-The algorithms in :mod:`repro.core` are written twice:
+Greedy B's best-pair start, the local-search initial pair and swap scan, the
+streaming arrival rule and the dynamic update rule each run once, as array
+programs, for every metric and every quality function:
 
-* a **reference path** of per-pair Python loops that only needs the
-  ``distance(u, v)`` oracle (correct for any :class:`~repro.metrics.base.Metric`
-  and any quality function), and
-* a **kernel path** that replaces each hot loop by one NumPy array operation
-  when the metric exposes :meth:`~repro.metrics.base.Metric.matrix_view` and
-  the quality function is modular.
+* **distances** come from :meth:`~repro.metrics.base.Metric.block` — an
+  ``np.ix_`` slice for a :class:`~repro.metrics.matrix.DistanceMatrix`, a
+  chunked array computation for feature metrics, and the base default built
+  from :meth:`~repro.metrics.base.Metric.distances_from` for pure oracles;
+* **quality** comes from :func:`quality_gains`, the one place the
+  modular-or-protocol choice is made: the weight vector when
+  :func:`modular_weights` returns one, the batched marginal-gain protocol of
+  :mod:`repro.functions.base` otherwise;
+* **feasibility** comes from the matroid's
+  :meth:`~repro.matroids.base.Matroid.swap_feasibility` and
+  :meth:`~repro.matroids.base.Matroid.pair_feasibility_mask` masks.
 
-This module holds the kernel path.  Everything here operates on plain arrays
-(the weight vector ``w``, the distance matrix ``D``, the marginal vector
-``margins`` with ``margins[u] = d_u(S)``) so the same kernels serve Greedy B's
-pair seeding, the local-search best-swap scan, the streaming arrival rule and
-the dynamic-update engine.  The key identities (paper Sections 4–6):
+The key identities (paper Sections 4–6):
 
-* pair score       ``w(x) + w(y) + λ·d(x, y)``
-* swap gain        ``φ(S − v + u) − φ(S)
-                     = (w(u) − w(v)) + λ·((d_u(S) − d(u, v)) − d_v(S))``
+* pair score  ``f({x, y}) + λ·d(x, y)``
+* swap gain   ``φ(S − v + u) − φ(S)
+              = [f(S − v + u) − f(S)] + λ·((d_u(S) − d(u, v)) − d_v(S))``
 
-Each scan is a masked argmax over the corresponding score matrix, turning the
-O(n·p) inner Python loop per local-search iteration into a handful of BLAS
-level array operations.
+Each scan is a masked argmax over the corresponding score matrix.  The loop
+formulations these kernels replace live on in :mod:`repro.testing.reference`
+as test oracles.
 """
 
 from __future__ import annotations
@@ -29,32 +32,32 @@ from __future__ import annotations
 import math
 import warnings
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._types import Element
 from repro.exceptions import NumericalDegradationWarning
-from repro.functions.base import SetFunction
-from repro.matroids.base import Matroid
+from repro.functions.base import GainState, SetFunction
 
 __all__ = [
+    "PAIR_ROW_CHUNK",
     "modular_weights",
     "weights_view_of",
-    "matrix_fast_path",
+    "quality_gains",
     "solution_split",
     "set_margins",
     "best_addition_scan",
     "pair_argmax",
     "swap_gain_matrix",
-    "swap_gain_matrix_general",
-    "best_swap_scan",
     "best_swap_scan_from_gains",
-    "arrival_swap_gains",
     "removal_gain_state",
-    "swap_kernel_supported",
-    "matroid_swap_vectorized",
 ]
+
+#: Pool rows scored per block by :func:`pair_argmax`.  Bounds the pair
+#: working set at ``PAIR_ROW_CHUNK × |pool|`` floats (distance block plus
+#: quality block) however large the pool is.
+PAIR_ROW_CHUNK = 32
 
 
 def weights_view_of(quality: SetFunction) -> Optional[np.ndarray]:
@@ -91,20 +94,52 @@ def modular_weights(quality: SetFunction) -> Optional[np.ndarray]:
     )
 
 
-def matrix_fast_path(objective) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Return ``(weights, matrix)`` when the kernel preconditions hold.
+def quality_gains(
+    quality: Optional[SetFunction],
+    weights: Optional[np.ndarray],
+    incoming: Iterable[Element],
+    anchors: Iterable[Element],
+    *,
+    selected: Optional[Iterable[Element]] = None,
+    removal: Optional[Dict[Element, Tuple[GainState, float]]] = None,
+) -> np.ndarray:
+    """Quality part ``Q[i, j]`` of the pair and swap scores.
 
-    The kernel path needs a matrix-backed metric *and* modular quality;
-    otherwise ``None`` is returned and callers use their reference loops.
-    Both arrays are shared storage — treat them as read-only.
+    * **Pair scores** (``selected`` omitted):
+      ``Q[i, j] = f({incoming[i], anchors[j]})`` — ``w(u) + w(x)`` for
+      modular quality, ``f({x}) + f_u({x})`` through one gain state per
+      anchor otherwise.
+    * **Swap scores** (``selected`` = the solution ``S``):
+      ``Q[i, j] = f(S − anchors[j] + incoming[i]) − f(S)`` — ``w(u) − w(v)``
+      for modular quality, ``f_u(S − v) − f_v(S − v)`` through one
+      :func:`removal_gain_state` per anchor otherwise.  ``removal``
+      optionally caches those states across calls for the same ``S``; it is
+      filled on demand.
+
+    ``weights`` is :func:`modular_weights` of ``quality`` (``None`` selects
+    the protocol); with ``weights`` given ``quality`` is never consulted.
     """
-    matrix = objective.metric.matrix_view()
-    if matrix is None:
-        return None
-    weights = modular_weights(objective.quality)
-    if weights is None:
-        return None
-    return weights, matrix
+    incoming = np.asarray(incoming, dtype=int)
+    anchors = np.asarray(anchors, dtype=int)
+    if weights is not None:
+        if selected is None:
+            return weights[incoming][:, None] + weights[anchors][None, :]
+        return weights[incoming][:, None] - weights[anchors][None, :]
+    out = np.empty((incoming.size, anchors.size), dtype=float)
+    if selected is None:
+        singletons = quality.gains(anchors, quality.gain_state())
+        for j, anchor in enumerate(anchors.tolist()):
+            state = quality.gain_state((anchor,))
+            out[:, j] = quality.gains(incoming, state) + singletons[j]
+        return out
+    cache = {} if removal is None else removal
+    for j, anchor in enumerate(anchors.tolist()):
+        entry = cache.get(anchor)
+        if entry is None:
+            entry = cache[anchor] = removal_gain_state(quality, selected, anchor)
+        state, base = entry
+        out[:, j] = quality.gains(incoming, state) - base
+    return out
 
 
 def solution_split(
@@ -155,43 +190,47 @@ def best_addition_scan(
 
 
 def pair_argmax(
-    weights: np.ndarray,
-    matrix: np.ndarray,
-    tradeoff: float,
+    objective,
+    weights: Optional[np.ndarray],
     pool: Sequence[Element],
     *,
     mask: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[Element, Element, float]]:
-    """Best pair ``{x, y}`` by ``w(x) + w(y) + λ·d(x, y)`` over ``pool``.
+    """Best pair ``{x, y}`` by ``f({x, y}) + λ·d(x, y)`` over ``pool``.
 
-    Only the upper triangle in *pool order* is scanned, so ties resolve to the
-    pair the reference double loop would have picked.  ``mask``, when given,
-    is an additional boolean feasibility matrix aligned with ``pool`` (e.g. a
-    matroid's :meth:`~repro.matroids.base.Matroid.pair_feasibility_mask`
-    restricted to the pool).  Returns ``None`` when no admissible pair exists.
+    Only the upper triangle in *pool order* is scored, in blocks of
+    :data:`PAIR_ROW_CHUNK` rows, and ties resolve to the first pair in
+    row-major order — the pair the reference double loop picks.  ``weights``
+    is :func:`modular_weights` of the objective's quality (``None`` scores
+    pairs through the gain protocol).  ``mask``, when given, is an
+    additional boolean feasibility matrix aligned with ``pool`` (e.g. a
+    matroid's :meth:`~repro.matroids.base.Matroid.pair_feasibility_mask`).
+    Returns ``(x, y, score)``, or ``None`` when no admissible pair exists.
     """
     idx = np.asarray(pool, dtype=int)
-    if idx.size < 2:
-        return None
-    scores = (
-        weights[idx][:, None]
-        + weights[idx][None, :]
-        + tradeoff * matrix[np.ix_(idx, idx)]
-    )
-    admissible = np.triu(np.ones((idx.size, idx.size), dtype=bool), k=1)
-    if mask is not None:
-        admissible &= mask
-    if not admissible.any():
-        return None
-    scores = np.where(admissible, scores, -np.inf)
-    flat = int(np.argmax(scores))
-    i, j = divmod(flat, idx.size)
-    return int(idx[i]), int(idx[j]), float(scores[i, j])
+    best: Optional[Tuple[Element, Element, float]] = None
+    for start in range(0, idx.size - 1, PAIR_ROW_CHUNK):
+        stop = min(start + PAIR_ROW_CHUNK, idx.size - 1)
+        rows, cols = idx[start:stop], idx[start + 1 :]
+        scores = quality_gains(objective.quality, weights, cols, rows).T
+        scores = scores + objective.tradeoff * objective.metric.block(rows, cols)
+        # Row r sits at pool position start + r and column c at start + 1 + c,
+        # so the strict upper triangle is c >= r.
+        admissible = np.arange(cols.size)[None, :] >= np.arange(rows.size)[:, None]
+        if mask is not None:
+            admissible &= mask[start:stop, start + 1 :]
+        if not admissible.any():
+            continue
+        scores = np.where(admissible, scores, -np.inf)
+        i, j = divmod(int(np.argmax(scores)), cols.size)
+        if best is None or scores[i, j] > best[2]:
+            best = (int(rows[i]), int(cols[j]), float(scores[i, j]))
+    return best
 
 
 def swap_gain_matrix(
-    weights: np.ndarray,
-    matrix: np.ndarray,
+    quality_gain: np.ndarray,
+    cross: np.ndarray,
     tradeoff: float,
     margins: np.ndarray,
     incoming: np.ndarray,
@@ -199,34 +238,12 @@ def swap_gain_matrix(
 ) -> np.ndarray:
     """Gain matrix ``G[i, j] = φ(S − outgoing[j] + incoming[i]) − φ(S)``.
 
-    Uses the O(1)-per-entry identity
-    ``(w_in − w_out) + λ·((d_in(S) − D[in, out]) − d_out(S))`` with the
-    marginals ``d_·(S)`` supplied by the caller (a tracker view or
-    :func:`set_margins`).
+    ``quality_gain`` is the swap-score output of :func:`quality_gains` and
+    ``cross`` the distance block ``d(incoming[i], outgoing[j])``; the
+    distance part is the O(1)-per-entry identity
+    ``(d_in(S) − d(in, out)) − d_out(S)`` with the marginals ``d_·(S)``
+    supplied by the caller (a tracker view or :func:`set_margins`).
     """
-    cross = matrix[np.ix_(incoming, outgoing)]
-    distance_gain = (margins[incoming][:, None] - cross) - margins[outgoing][None, :]
-    quality_gain = weights[incoming][:, None] - weights[outgoing][None, :]
-    return quality_gain + tradeoff * distance_gain
-
-
-def swap_gain_matrix_general(
-    quality_gain: np.ndarray,
-    matrix: np.ndarray,
-    tradeoff: float,
-    margins: np.ndarray,
-    incoming: np.ndarray,
-    outgoing: np.ndarray,
-) -> np.ndarray:
-    """Swap-gain matrix with a *precomputed* quality-gain matrix.
-
-    The submodular fast path: ``quality_gain[i, j] = f(S − outgoing[j] +
-    incoming[i]) − f(S)`` comes from the batched marginal-gain protocol
-    (one :meth:`~repro.functions.base.SetFunction.gains` batch per outgoing
-    element against the ``S − outgoing[j]`` state), and the distance part is
-    the same O(1)-per-entry identity as :func:`swap_gain_matrix`.
-    """
-    cross = matrix[np.ix_(incoming, outgoing)]
     distance_gain = (margins[incoming][:, None] - cross) - margins[outgoing][None, :]
     return quality_gain + tradeoff * distance_gain
 
@@ -242,9 +259,10 @@ def best_swap_scan_from_gains(
 ) -> Optional[Tuple[Element, Element, float]]:
     """Select the accepted swap from a precomputed gain matrix.
 
-    Shared selection logic of the modular and submodular kernel scans: the
-    best (or, with ``first_improvement``, the first row-major) admissible
-    entry strictly exceeding ``threshold``, or ``None``.
+    The best (or, with ``first_improvement``, the first row-major)
+    admissible entry strictly exceeding ``threshold``, or ``None``.
+    ``feasible`` is an optional boolean matrix of allowed swaps (all allowed
+    when omitted).
 
     NaN gains (a poisoned oracle slipping past construction checks) would
     otherwise hijack ``argmax`` — NaN wins every comparison there — and then
@@ -282,66 +300,12 @@ def best_swap_scan_from_gains(
     return int(incoming[i]), int(outgoing[j]), best
 
 
-def best_swap_scan(
-    weights: np.ndarray,
-    matrix: np.ndarray,
-    tradeoff: float,
-    margins: np.ndarray,
-    incoming: np.ndarray,
-    outgoing: np.ndarray,
-    *,
-    feasible: Optional[np.ndarray] = None,
-    threshold: float = 0.0,
-    first_improvement: bool = False,
-) -> Optional[Tuple[Element, Element, float]]:
-    """One vectorized best-swap scan; ``None`` when no swap beats ``threshold``.
-
-    ``incoming`` are candidates outside ``S`` and ``outgoing`` members of
-    ``S``; ``feasible`` is an optional boolean matrix of allowed swaps (all
-    allowed when omitted).  A swap must *strictly* exceed ``threshold`` to be
-    returned, matching the reference loop's acceptance rule.  With
-    ``first_improvement`` the scan returns the first admissible improving swap
-    in row-major (incoming-then-outgoing) order instead of the best one.
-    """
-    if incoming.size == 0 or outgoing.size == 0:
-        return None
-    gains = swap_gain_matrix(weights, matrix, tradeoff, margins, incoming, outgoing)
-    return best_swap_scan_from_gains(
-        gains,
-        incoming,
-        outgoing,
-        feasible=feasible,
-        threshold=threshold,
-        first_improvement=first_improvement,
-    )
-
-
-def arrival_swap_gains(
-    weights: np.ndarray,
-    matrix: np.ndarray,
-    tradeoff: float,
-    element: Element,
-    members: Sequence[Element],
-) -> np.ndarray:
-    """Streaming arrival rule: gains of swapping ``element`` for each member.
-
-    Computes ``φ(S − out + element) − φ(S)`` for every ``out`` in ``members``
-    from the O(p²) submatrix alone (no O(n) state), preserving the streaming
-    algorithm's O(p) memory footprint.
-    """
-    sel = np.asarray(members, dtype=int)
-    row = matrix[element, sel]
-    internal = matrix[np.ix_(sel, sel)].sum(axis=1)
-    d_new = row.sum()
-    return (weights[element] - weights[sel]) + tradeoff * ((d_new - row) - internal)
-
-
 def removal_gain_state(quality: SetFunction, selected: Iterable[Element],
                        outgoing: Element):
     """Gain state for ``S − outgoing`` plus the base gain ``f_v(S − v)``.
 
     The one identity behind every protocol-backed swap evaluation (local
-    search scans, streaming arrivals):
+    search scans, streaming arrivals, the dynamic update rule):
 
     ``f(S − v + u) − f(S) = f_u(S − v) − f_v(S − v) = gains(u, state) − base``
 
@@ -351,27 +315,3 @@ def removal_gain_state(quality: SetFunction, selected: Iterable[Element],
     state = quality.gain_state(set(selected) - {outgoing})
     base = float(quality.gains((outgoing,), state)[0])
     return state, base
-
-
-def matroid_swap_vectorized(matroid: Matroid) -> bool:
-    """Whether the matroid family implements the closed-form
-    :meth:`~repro.matroids.base.Matroid.swap_feasibility` rule the vectorized
-    swap scans mask with."""
-    probe = matroid.swap_feasibility(
-        frozenset(), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    )
-    return probe is not None
-
-
-def swap_kernel_supported(objective, matroid: Matroid) -> bool:
-    """Whether the *modular* best-swap scan can run vectorized for this pairing.
-
-    True when the metric is matrix-backed, the quality modular, and the
-    matroid family implements the closed-form feasibility rule.  Non-modular
-    quality on a matrix-backed metric takes the submodular kernel scan in
-    :mod:`repro.core.local_search` instead (quality gains batched through the
-    marginal-gain protocol rather than read from a weight vector).
-    """
-    if matrix_fast_path(objective) is None:
-        return False
-    return matroid_swap_vectorized(matroid)

@@ -32,7 +32,7 @@ from repro.core import kernels
 from repro.core.objective import Objective
 from repro.core.result import SolverResult, build_result
 from repro.exceptions import InfeasibleError, InvalidParameterError
-from repro.matroids.base import Matroid, restriction_feasible_pairs
+from repro.matroids.base import Matroid
 from repro.matroids.uniform import UniformMatroid
 from repro.utils.deadline import Deadline, mark_interrupted
 
@@ -84,26 +84,13 @@ def _initial_basis(objective: Objective, matroid: Matroid) -> Set[Element]:
         if best is None:
             raise InfeasibleError("matroid has rank 1 but no independent singleton")
         return {best}
-    best_pair: Optional[Tuple[Element, Element]] = None
-    fast = kernels.matrix_fast_path(objective)
-    pair_mask = matroid.pair_feasibility_mask() if fast is not None else None
-    if fast is not None and pair_mask is not None:
-        # One masked matrix argmax over w[x] + w[y] + λ·D[x, y] instead of
-        # O(n²) pair_value calls.
-        weights, matrix = fast
-        move = kernels.pair_argmax(
-            weights, matrix, objective.tradeoff, range(matroid.n), mask=pair_mask
-        )
-        if move is not None:
-            best_pair = (move[0], move[1])
-    else:
-        best_value = -float("inf")
-        for x, y in restriction_feasible_pairs(matroid):
-            value = objective.pair_value(x, y)
-            if value > best_value:
-                best_value = value
-                best_pair = (x, y)
-    if best_pair is None:
+    move = kernels.pair_argmax(
+        objective,
+        kernels.modular_weights(objective.quality),
+        range(matroid.n),
+        mask=matroid.pair_feasibility_mask(),
+    )
+    if move is None:
         raise InfeasibleError("no independent pair exists in the matroid")
     # Extend preferring high singleton quality so the starting basis is sensible.
     preference = sorted(
@@ -111,162 +98,42 @@ def _initial_basis(objective: Objective, matroid: Matroid) -> Set[Element]:
         key=lambda u: objective.quality.marginal(u, frozenset()),
         reverse=True,
     )
-    return set(matroid.extend_to_basis(set(best_pair), preference=preference))
+    return set(matroid.extend_to_basis({move[0], move[1]}, preference=preference))
 
 
-def _scan_swaps_reference(
+def _scan_swaps(
     objective: Objective,
     matroid: Matroid,
     selected: Set[Element],
     tracker,
     threshold: float,
+    weights: Optional[np.ndarray],
     *,
-    weights: Optional[np.ndarray] = None,
     first_improvement: bool = False,
-    out_of_time=None,
 ) -> Optional[Tuple[Element, Element, float]]:
-    """One loop-based best-swap scan (the oracle fallback path).
+    """One best-swap scan: a masked argmax over the full swap-gain matrix.
 
-    The distance part of each swap gain is read from a
-    :class:`~repro.metrics.aggregates.MarginalDistanceTracker` in O(1):
+    The (incoming × outgoing) matrix is
 
     ``φ(S − v + u) − φ(S) = [f(S − v + u) − f(S)] + λ·[(d_u(S) − d(u, v)) − d_v(S)]``
 
-    For modular quality the bracketed quality term is ``w(u) − w(v)``, making
-    every candidate swap O(1); for general submodular quality it is one
-    single-candidate batched-gains call against a per-outgoing removal state
-    cached for the scan (see the marginal-gain protocol in
-    :mod:`repro.functions.base`).  Returns ``(incoming, outgoing, gain)``
-    with ``gain > threshold``, or ``None``.  ``weights`` may be passed by
-    callers that already hold the modular weight vector (it is recomputed
-    otherwise).
-    """
-    quality = objective.quality
-    metric = objective.metric
-    lam = objective.tradeoff
-    if weights is None:
-        weights = kernels.modular_weights(quality)
-    # For non-modular quality, the f(S − v + u) − f(S) term of every swap
-    # against the same outgoing v is served by one gain state for S − v
-    # (built lazily on first use, cached for the whole scan):
-    # f(S − v + u) − f(S) = f_u(S − v) − f_v(S − v), one single-candidate
-    # gains call per swap instead of two full value-oracle evaluations.
-    removal_states: dict = {}
-
-    def removal_state(outgoing: Element):
-        cached = removal_states.get(outgoing)
-        if cached is None:
-            cached = kernels.removal_gain_state(quality, selected, outgoing)
-            removal_states[outgoing] = cached
-        return cached
-
-    best_move: Optional[Tuple[Element, Element]] = None
-    best_gain = threshold
-    stop_scan = False
-    for incoming in range(objective.n):
-        if incoming in selected:
-            continue
-        if out_of_time is not None and incoming % 64 == 0 and out_of_time():
-            break
-        distance_in = tracker.marginal(incoming)
-        for outgoing in matroid.swap_candidates(selected, incoming):
-            distance_gain = (
-                distance_in - metric.distance(incoming, outgoing)
-            ) - tracker.marginal(outgoing)
-            if weights is not None:
-                quality_gain = float(weights[incoming] - weights[outgoing])
-            else:
-                state, base = removal_state(outgoing)
-                quality_gain = float(quality.gains((incoming,), state)[0]) - base
-            gain = quality_gain + lam * distance_gain
-            if gain > best_gain:
-                best_gain = gain
-                best_move = (incoming, outgoing)
-                if first_improvement:
-                    stop_scan = True
-                    break
-        if stop_scan:
-            break
-    if best_move is None:
-        return None
-    return best_move[0], best_move[1], best_gain
-
-
-def _scan_swaps_vectorized(
-    objective: Objective,
-    matroid: Matroid,
-    selected: Set[Element],
-    tracker,
-    threshold: float,
-    weights: np.ndarray,
-    matrix: np.ndarray,
-    *,
-    first_improvement: bool = False,
-) -> Optional[Tuple[Element, Element, float]]:
-    """One kernel-based best-swap scan: a masked argmax over the gain matrix.
-
-    Builds the full (incoming × outgoing) gain matrix
-    ``(w[in] − w[out]) + λ·((d_in(S) − D[in, out]) − d_out(S))`` in one shot
-    from the tracker's marginal view, masked by the matroid's vectorized
-    feasibility rule.
-    """
-    inside, outside = kernels.solution_split(objective.n, selected)
-    feasible = matroid.swap_feasibility(selected, outside, inside)
-    return kernels.best_swap_scan(
-        weights,
-        matrix,
-        objective.tradeoff,
-        tracker.marginals_view(),
-        outside,
-        inside,
-        feasible=feasible,
-        threshold=threshold,
-        first_improvement=first_improvement,
-    )
-
-
-def _swap_quality_gains(
-    quality, selected: Set[Element], inside: np.ndarray, outside: np.ndarray
-) -> np.ndarray:
-    """Quality-gain matrix ``Q[i, j] = f(S − inside[j] + outside[i]) − f(S)``.
-
-    One removal state per outgoing element, each answering the gains of
-    *every* incoming candidate in a single batch:
-    ``Q[:, j] = f_·(S − v_j) − f_{v_j}(S − v_j)``.
-    """
-    gains = np.empty((outside.size, inside.size), dtype=float)
-    for j, outgoing in enumerate(inside):
-        state, base = kernels.removal_gain_state(quality, selected, int(outgoing))
-        gains[:, j] = quality.gains(outside, state) - base
-    return gains
-
-
-def _scan_swaps_submodular(
-    objective: Objective,
-    matroid: Matroid,
-    selected: Set[Element],
-    tracker,
-    threshold: float,
-    matrix: np.ndarray,
-    *,
-    first_improvement: bool = False,
-) -> Optional[Tuple[Element, Element, float]]:
-    """One kernel-based best-swap scan for *non-modular* quality.
-
-    The distance part is the same masked gain-matrix argmax as the modular
-    kernel scan; the quality part comes from the batched marginal-gain
-    protocol (:func:`_swap_quality_gains`) instead of a weight vector —
-    O(p) states and O(p) gains batches per scan instead of O(n·p)
-    value-oracle evaluations.
+    with the distance marginals read from the tracker's view, the cross
+    distances from one :meth:`~repro.metrics.base.Metric.block`, the quality
+    part from :func:`~repro.core.kernels.quality_gains` (``weights`` for
+    modular quality, one removal state per outgoing element otherwise) and
+    the mask from :meth:`~repro.matroids.base.Matroid.swap_feasibility`.
+    Returns ``(incoming, outgoing, gain)`` with ``gain > threshold``, or
+    ``None``.
     """
     inside, outside = kernels.solution_split(objective.n, selected)
     if inside.size == 0 or outside.size == 0:
         return None
-    feasible = matroid.swap_feasibility(selected, outside, inside)
-    quality_gain = _swap_quality_gains(objective.quality, selected, inside, outside)
-    gains = kernels.swap_gain_matrix_general(
+    quality_gain = kernels.quality_gains(
+        objective.quality, weights, outside, inside, selected=selected
+    )
+    gains = kernels.swap_gain_matrix(
         quality_gain,
-        matrix,
+        objective.metric.block(outside, inside),
         objective.tradeoff,
         tracker.marginals_view(),
         outside,
@@ -276,7 +143,7 @@ def _scan_swaps_submodular(
         gains,
         outside,
         inside,
-        feasible=feasible,
+        feasible=matroid.swap_feasibility(selected, outside, inside),
         threshold=threshold,
         first_improvement=first_improvement,
     )
@@ -293,13 +160,8 @@ def _run_swaps(
 ) -> Tuple[int, bool]:
     """Perform improving swaps in place; return the number of swaps accepted.
 
-    Each iteration runs one best-swap scan: the modular kernel scan when the
-    metric is matrix-backed, the quality modular and the matroid family has a
-    closed-form feasibility rule; the submodular kernel scan (quality gains
-    batched through the marginal-gain protocol) when the metric is
-    matrix-backed and the quality is *not* modular; and the loop-based
-    reference scan otherwise.  All scans accept only swaps strictly better
-    than the ε-threshold of :class:`LocalSearchConfig`.
+    Each iteration runs one :func:`_scan_swaps` and accepts only a swap
+    strictly better than the ε-threshold of :class:`LocalSearchConfig`.
 
     Returns ``(swaps accepted, interrupted)`` — ``interrupted`` is ``True``
     only when a cooperative ``deadline`` expired; the config's own time
@@ -310,27 +172,7 @@ def _run_swaps(
     interrupted = False
     tracker = objective.make_tracker(selected)
     current_value = objective.value(selected)
-
-    fast = kernels.matrix_fast_path(objective)
-    use_kernel = fast is not None and kernels.swap_kernel_supported(objective, matroid)
-    matrix_view = objective.metric.matrix_view()
-    use_submodular_kernel = (
-        not use_kernel
-        and matrix_view is not None
-        and not objective.quality.is_modular
-        and kernels.matroid_swap_vectorized(matroid)
-    )
-    reference_weights = (
-        None if use_kernel else kernels.modular_weights(objective.quality)
-    )
-
-    def out_of_time() -> bool:
-        if deadline is not None and deadline.expired():
-            return True
-        return (
-            config.time_budget_seconds is not None
-            and time.perf_counter() - started > config.time_budget_seconds
-        )
+    weights = kernels.modular_weights(objective.quality)
 
     while True:
         if config.max_swaps is not None and swaps >= config.max_swaps:
@@ -338,42 +180,21 @@ def _run_swaps(
         if deadline is not None and deadline.expired():
             interrupted = True
             break
-        if out_of_time():
+        if (
+            config.time_budget_seconds is not None
+            and time.perf_counter() - started > config.time_budget_seconds
+        ):
             break
         threshold = config.epsilon * abs(current_value) / max(objective.n, 1)
-        if use_kernel:
-            weights, matrix = fast
-            move = _scan_swaps_vectorized(
-                objective,
-                matroid,
-                selected,
-                tracker,
-                threshold,
-                weights,
-                matrix,
-                first_improvement=config.first_improvement,
-            )
-        elif use_submodular_kernel:
-            move = _scan_swaps_submodular(
-                objective,
-                matroid,
-                selected,
-                tracker,
-                threshold,
-                matrix_view,
-                first_improvement=config.first_improvement,
-            )
-        else:
-            move = _scan_swaps_reference(
-                objective,
-                matroid,
-                selected,
-                tracker,
-                threshold,
-                weights=reference_weights,
-                first_improvement=config.first_improvement,
-                out_of_time=out_of_time,
-            )
+        move = _scan_swaps(
+            objective,
+            matroid,
+            selected,
+            tracker,
+            threshold,
+            weights,
+            first_improvement=config.first_improvement,
+        )
         if move is None:
             break
         incoming, outgoing, best_gain = move
@@ -418,9 +239,9 @@ def local_search_diversify(
     deadline:
         Optional cooperative wall-clock budget (seconds or a
         :class:`~repro.utils.deadline.Deadline`).  Checked before every swap
-        scan (and periodically inside the reference scan); on expiry the
-        current basis — always feasible, since swaps preserve independence —
-        is returned with ``metadata["interrupted"] = True``.
+        scan; on expiry the current basis — always feasible, since swaps
+        preserve independence — is returned with
+        ``metadata["interrupted"] = True``.
     """
     config = config or LocalSearchConfig()
     if matroid.n != objective.n:

@@ -10,8 +10,7 @@ every algorithm uses to honor a ``candidates=`` argument:
    view of the distance matrix (:meth:`~repro.metrics.base.Metric.restrict`,
    copy-free for uniform-stride pools), and, when a matroid constraint is in
    play, the restricted matroid (:meth:`~repro.matroids.base.Matroid.restrict`);
-2. run the unmodified algorithm — including its vectorized kernel path — on
-   the sub-instance;
+2. run the unmodified algorithm — kernels included — on the sub-instance;
 3. :meth:`Restriction.lift` the result back into the corpus' indices.
 
 This replaces the previous per-algorithm hand-rolled candidate-pool loops,

@@ -78,17 +78,16 @@ from repro.obs.instrument import (
     maybe_start_span,
     phase_timings,
 )
-from repro.obs.trace import SpanBundle, Trace
+from repro.obs.trace import SpanBundle, Stopwatch, Trace
 from repro.utils.deadline import Deadline, mark_interrupted
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_candidate_pool
 
 __all__ = ["shard_pool", "solve_sharded", "sub_metric"]
 
 #: Shard-stage algorithms that run efficiently on a *lazy* sub-metric (their
 #: hot loops only need rows, which feature metrics answer in O(k·d)).  Every
-#: other algorithm wants the shard's distance block materialized so the
-#: vectorized kernels apply.  Submodular quality keeps shard solves fast on
+#: other algorithm wants the shard's distance block materialized so its
+#: kernel blocks are slices.  Submodular quality keeps shard solves fast on
 #: either tier: the restriction layer's quality views compose their parent's
 #: batched marginal-gain states, so each per-shard greedy runs the CELF fast
 #: path instead of a per-candidate oracle loop.
@@ -143,8 +142,8 @@ def sub_metric(metric: Metric, pool: np.ndarray, materialize: bool) -> Metric:
     """The restriction of ``metric`` onto ``pool`` for one shard solve.
 
     ``materialize=True`` produces a :class:`DistanceMatrix` (a copy-free view
-    for matrix-backed parents, a chunk-computed block otherwise) so the
-    vectorized kernels apply; ``materialize=False`` prefers the lazy tier and
+    for matrix-backed parents, a chunk-computed block otherwise) so kernel
+    blocks are slices; ``materialize=False`` prefers the lazy tier and
     only falls back to the default O(k²) restriction for pure oracle metrics.
 
     Public because the dynamic session's shard-local repair builds the same
@@ -156,10 +155,6 @@ def sub_metric(metric: Metric, pool: np.ndarray, materialize: bool) -> Metric:
         return _block_matrix(metric, pool)
     lazy = metric.restrict_lazy(pool)
     return lazy if lazy is not None else metric.restrict(pool)
-
-
-#: Backward-compatible private alias (pre-dates the dynamic session).
-_sub_metric = sub_metric
 
 
 def _materialize_objective(objective: Objective) -> Objective:
@@ -286,7 +281,7 @@ def solve_sharded(
         when the metric reports :attr:`~repro.metrics.base.Metric.parallel_safe`
         and the quality slices are array-backed) or ``executor="process"``
         (sub-instances are pickled to workers; shard timings are merged back
-        into the parent, see :class:`~repro.utils.timing.Stopwatch`).
+        into the parent, see :class:`~repro.obs.trace.Stopwatch`).
     local_search_config:
         Forwarded to any local-search stage (shard and final).
     deadline:
@@ -488,7 +483,7 @@ def solve_sharded(
                 restrictions.append(None)
                 continue
             restriction = Restriction(
-                objective, shard, metric=_sub_metric(metric, shard, materialize=False)
+                objective, shard, metric=sub_metric(metric, shard, materialize=False)
             )
             restrictions.append(restriction)
             payloads.append(
@@ -745,7 +740,7 @@ def solve_sharded(
         trace, "final_solve", core=int(core.size), algorithm=algorithm
     ):
         final_restriction = Restriction(
-            objective, core, metric=_sub_metric(metric, core, final_materialize)
+            objective, core, metric=sub_metric(metric, core, final_materialize)
         )
         final_p = min(p, core.size)
         if algorithm == "local_search":

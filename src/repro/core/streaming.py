@@ -18,17 +18,17 @@ Only the current solution and the arriving element are ever inspected, so the
 memory footprint is O(p) plus the distance/quality oracles, and each arrival
 costs O(p) marginal evaluations.
 
-Two fast paths serve the arrival rule.  With a matrix-backed metric and
-modular quality, all ``p`` candidate swaps are one O(p²) submatrix kernel
-(:func:`repro.core.kernels.arrival_swap_gains`).  Otherwise the quality side
-runs on the stateful batched marginal-gain protocol: one removal state per
-solution member (``f(S − v + e) − f(S) = f_e(S − v) − f_v(S − v)``), built
-lazily and reused across arrivals until the solution changes, plus a
-maintained vector of internal distance marginals — so an arrival costs O(p)
-single-candidate gains calls instead of 2·p value-oracle evaluations with
-their O(p²) dispersion recomputations.  (The removal states add O(state)
-memory per member — e.g. O(n) for facility location — traded for the
-per-arrival oracle work.)
+The arrival rule scores all ``p`` candidate swaps as one array: distances
+from one :meth:`~repro.metrics.base.Metric.block` row plus a maintained
+vector of internal distance marginals ``d_v(S)``, quality from
+:func:`repro.core.kernels.quality_gains` — the weight vector for modular
+quality, and otherwise one removal state per solution member
+(``f(S − v + e) − f(S) = f_e(S − v) − f_v(S − v)``) built lazily and reused
+across arrivals until the solution changes.  An arrival therefore costs O(p)
+distances and O(p) single-candidate gains calls instead of 2·p value-oracle
+evaluations with their O(p²) dispersion recomputations.  (The removal states
+add O(state) memory per member — e.g. O(n) for facility location — traded
+for the per-arrival oracle work.)
 """
 
 from __future__ import annotations
@@ -73,16 +73,14 @@ class StreamingDiversifier:
     _value: float = field(default=0.0, init=False, repr=False)
     _arrivals: int = field(default=0, init=False, repr=False)
     _swaps: int = field(default=0, init=False, repr=False)
-    _fast: Optional[tuple] = field(default=None, init=False, repr=False)
-    # Protocol-path state (non-kernel instances), all maintained lazily and
-    # invalidated when the solution changes:
+    _weights: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    # Solution-dependent state, built lazily and invalidated when the
+    # solution changes:
     _qstate: Optional[GainState] = field(default=None, init=False, repr=False)
     _removal: Dict[Element, Tuple[GainState, float]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _margins: Optional[Dict[Element, float]] = field(
-        default=None, init=False, repr=False
-    )
+    _margins: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _interrupted: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -90,11 +88,10 @@ class StreamingDiversifier:
             raise InvalidParameterError("p must be at least 1")
         if self.improvement_margin < 0:
             raise InvalidParameterError("improvement_margin must be non-negative")
-        # Resolve the kernel fast path once, not per arrival: the weight and
-        # matrix views are live under in-place mutation, and re-deriving the
-        # weight vector of view-less modular families would cost O(n) oracle
-        # calls per arrival.
-        self._fast = kernels.matrix_fast_path(self.objective)
+        # Resolve the weight vector once, not per arrival: weight views are
+        # live under in-place mutation, and re-deriving the weight vector of
+        # view-less modular families would cost O(n) oracle calls per arrival.
+        self._weights = kernels.modular_weights(self.objective.quality)
 
     # ------------------------------------------------------------------
     # State
@@ -120,48 +117,24 @@ class StreamingDiversifier:
         return self._swaps
 
     # ------------------------------------------------------------------
-    # Protocol-path helpers (lazy, invalidated on solution changes)
+    # Solution-dependent state (lazy, invalidated on solution changes)
     # ------------------------------------------------------------------
     def _distance_row(self, element: Element) -> np.ndarray:
         """Distances from ``element`` to the current solution, in list order."""
-        matrix = self.objective.metric.matrix_view()
-        if matrix is not None:
-            return np.asarray(
-                matrix[element, np.asarray(self._selected, dtype=int)], dtype=float
-            )
-        return self.objective.metric.distances_from(element, self._selected)
+        return self.objective.metric.block((element,), self._selected)[0]
 
     def _ensure_qstate(self) -> GainState:
         if self._qstate is None:
             self._qstate = self.objective.make_quality_state(self._selected)
         return self._qstate
 
-    def _ensure_margins(self) -> Dict[Element, float]:
+    def _ensure_margins(self) -> np.ndarray:
+        """Internal marginals ``d_v(S)`` of the members, in list order."""
         if self._margins is None:
-            self._margins = {
-                v: float(self._distance_row(v).sum()) for v in self._selected
-            }
+            self._margins = self.objective.metric.block(
+                self._selected, self._selected
+            ).sum(axis=1)
         return self._margins
-
-    def _ensure_removal_states(self) -> Dict[Element, Tuple[GainState, float]]:
-        if not self._removal:
-            quality = self.objective.quality
-            for outgoing in self._selected:
-                self._removal[outgoing] = kernels.removal_gain_state(
-                    quality, self._selected, outgoing
-                )
-        return self._removal
-
-    def _append(self, element: Element, row: Optional[np.ndarray]) -> None:
-        """Grow the solution, updating the maintained state incrementally."""
-        if self._qstate is not None:
-            self.objective.quality.push(self._qstate, element)
-        if self._margins is not None and row is not None:
-            for i, member in enumerate(self._selected):
-                self._margins[member] += float(row[i])
-            self._margins[element] = float(row.sum())
-        self._selected.append(element)
-        self._removal.clear()
 
     def _invalidate(self) -> None:
         self._qstate = None
@@ -180,53 +153,34 @@ class StreamingDiversifier:
         self._arrivals += 1
         if element in self._selected:
             return False
+        quality = self.objective.quality
+        tradeoff = self.objective.tradeoff
+        row = self._distance_row(element)
         if len(self._selected) < self.p:
-            if self._fast is None:
-                row = self._distance_row(element)
-                gain = float(
-                    self.objective.quality.gains((element,), self._ensure_qstate())[0]
-                ) + self.objective.tradeoff * float(row.sum())
-            else:
-                row = None
-                gain = self.objective.marginal(element, frozenset(self._selected))
-            self._append(element, row)
+            state = self._ensure_qstate()
+            gain = float(quality.gains((element,), state)[0])
+            gain += tradeoff * float(row.sum())
+            quality.push(state, element)
+            self._selected.append(element)
+            self._margins = None
+            self._removal.clear()
             self._value += gain
             return True
-        # Full: find the best single replacement for the arriving element.
-        best_gain = self.improvement_margin * abs(self._value)
-        best_outgoing: Optional[Element] = None
-        if self._fast is not None:
-            # All p candidate swaps in one O(p²) submatrix computation.
-            weights, matrix = self._fast
-            gains = kernels.arrival_swap_gains(
-                weights, matrix, self.objective.tradeoff, element, self._selected
-            )
-            best_idx = int(np.argmax(gains))
-            if gains[best_idx] > best_gain:
-                best_gain = float(gains[best_idx])
-                best_outgoing = self._selected[best_idx]
-        else:
-            # Protocol path: quality side from the cached removal states
-            # (f_e(S − v) − f_v(S − v)), distance side from the arriving
-            # row and the maintained internal marginals — O(p) gains calls
-            # per arrival, no value-oracle or O(p²) dispersion recompute.
-            quality = self.objective.quality
-            tradeoff = self.objective.tradeoff
-            row = self._distance_row(element)
-            arriving_total = float(row.sum())
-            margins = self._ensure_margins()
-            removal = self._ensure_removal_states()
-            for i, outgoing in enumerate(self._selected):
-                state, base = removal[outgoing]
-                quality_gain = float(quality.gains((element,), state)[0]) - base
-                distance_gain = (arriving_total - float(row[i])) - margins[outgoing]
-                gain = quality_gain + tradeoff * distance_gain
-                if gain > best_gain:
-                    best_gain = gain
-                    best_outgoing = outgoing
-        if best_outgoing is None:
+        # Full: all p candidate swaps of the arriving element in one array.
+        quality_gain = kernels.quality_gains(
+            quality,
+            self._weights,
+            (element,),
+            self._selected,
+            selected=self._selected,
+            removal=self._removal,
+        )[0]
+        gains = quality_gain + tradeoff * ((row.sum() - row) - self._ensure_margins())
+        best_idx = int(np.argmax(gains))
+        best_gain = float(gains[best_idx])
+        if not best_gain > self.improvement_margin * abs(self._value):
             return False
-        self._selected.remove(best_outgoing)
+        del self._selected[best_idx]
         self._selected.append(element)
         self._invalidate()
         self._value += best_gain

@@ -611,7 +611,14 @@ class DynamicDiversifier:
                 dirty_col: Optional[np.ndarray] = None
                 if dirty.size and inside.size:
                     dirty_gains = kernels.swap_gain_matrix(
-                        weights, matrix, self._tradeoff, self._margins, dirty, inside
+                        kernels.quality_gains(
+                            None, weights, dirty, inside, selected=self._solution
+                        ),
+                        matrix[np.ix_(dirty, inside)],
+                        self._tradeoff,
+                        self._margins,
+                        dirty,
+                        inside,
                     )
                     dirty_col = dirty_gains.max(axis=0)
                     best_bound = max(best_bound, float(dirty_col.max()))
@@ -634,7 +641,14 @@ class DynamicDiversifier:
                 self._set_cache(inside, np.full(inside.size, -np.inf))
                 break
             gains = kernels.swap_gain_matrix(
-                weights, matrix, self._tradeoff, margins, outside, inside
+                kernels.quality_gains(
+                    None, weights, outside, inside, selected=self._solution
+                ),
+                matrix[np.ix_(outside, inside)],
+                self._tradeoff,
+                margins,
+                outside,
+                inside,
             )
             move = kernels.best_swap_scan_from_gains(gains, outside, inside)
             if move is None:

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro._types import Element
 from repro.core import kernels
 from repro.core.objective import Objective
@@ -74,9 +76,10 @@ def best_swap(
     ``None`` is returned when no swap has a strictly positive gain, i.e. the
     solution is locally optimal for the single-swap neighbourhood.
 
-    When the instance is matrix-backed with modular quality (the dynamic
-    engine's representation), the scan is one vectorized gain-matrix argmax;
-    otherwise it falls back to O(n·p) ``swap_gain`` oracle calls.
+    The scan is one masked argmax over the (incoming × outgoing) swap-gain
+    matrix: distances from one ``n × |S|``
+    :meth:`~repro.metrics.base.Metric.block`, quality from
+    :func:`~repro.core.kernels.quality_gains`.
 
     ``candidates`` restricts the incoming elements to a query-scoped pool
     (through the restriction layer, so the vectorized scan runs on the
@@ -92,23 +95,23 @@ def best_swap(
         incoming, outgoing, gain = move
         pool = restriction.candidates
         return pool[incoming], pool[outgoing], gain
-    fast = kernels.matrix_fast_path(objective)
-    if fast is not None and solution:
-        weights, matrix = fast
-        inside, outside = kernels.solution_split(objective.n, solution)
-        margins = kernels.set_margins(matrix, inside)
-        return kernels.best_swap_scan(
-            weights, matrix, objective.tradeoff, margins, outside, inside
-        )
-    best: Optional[Tuple[Element, Element, float]] = None
-    for incoming in range(objective.n):
-        if incoming in solution:
-            continue
-        for outgoing in solution:
-            gain = objective.swap_gain(solution, incoming, outgoing)
-            if gain > 0 and (best is None or gain > best[2]):
-                best = (incoming, outgoing, gain)
-    return best
+    inside, outside = kernels.solution_split(objective.n, solution)
+    if inside.size == 0 or outside.size == 0:
+        return None
+    distances = objective.metric.block(np.arange(objective.n), inside)
+    quality = objective.quality
+    quality_gain = kernels.quality_gains(
+        quality, kernels.modular_weights(quality), outside, inside, selected=solution
+    )
+    gains = kernels.swap_gain_matrix(
+        quality_gain,
+        distances[outside],
+        objective.tradeoff,
+        distances.sum(axis=1),
+        outside,
+        inside,
+    )
+    return kernels.best_swap_scan_from_gains(gains, outside, inside)
 
 
 def oblivious_update(

@@ -177,7 +177,7 @@ class SetFunction(ABC):
     def weights_view(self) -> Optional[np.ndarray]:
         """A read-only, copy-free weight vector for modular families, or ``None``.
 
-        This is the quality-side fast-path hook, the counterpart of
+        The quality-side counterpart of
         :meth:`repro.metrics.base.Metric.matrix_view`: when a modular family
         returns an array here, the kernels and the sharded solver consume the
         weights directly instead of calling the value oracle per element.

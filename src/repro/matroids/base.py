@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import combinations
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
 
 import numpy as np
 
@@ -119,33 +119,46 @@ class Matroid(ABC):
                 yield outgoing
 
     # ------------------------------------------------------------------
-    # Vectorized feasibility hooks (used by repro.core.kernels)
+    # Feasibility masks (read by the scans in repro.core.kernels)
     # ------------------------------------------------------------------
     def swap_feasibility(
         self,
         basis: Iterable[Element],
         incoming: np.ndarray,
         outgoing: np.ndarray,
-    ) -> Optional[np.ndarray]:
-        """Vectorized counterpart of :meth:`swap_candidates`.
+    ) -> np.ndarray:
+        """Array counterpart of :meth:`swap_candidates`.
 
         Returns a boolean array of shape ``(len(incoming), len(outgoing))``
         whose ``(i, j)`` entry says whether ``basis - outgoing[j] +
-        incoming[i]`` is independent, or ``None`` when the family has no
-        closed-form rule (callers then fall back to the oracle loop).  All
-        ``incoming`` elements must lie outside ``basis`` and all ``outgoing``
-        elements inside it.
+        incoming[i]`` is independent.  All ``incoming`` elements must lie
+        outside ``basis`` and all ``outgoing`` elements inside it.  The
+        default asks :meth:`swap_candidates` once per incoming element;
+        families with a closed-form rule override it.
         """
-        return None
+        members = frozenset(basis)
+        column = {int(v): j for j, v in enumerate(outgoing)}
+        mask = np.zeros((len(incoming), len(outgoing)), dtype=bool)
+        for i, u in enumerate(incoming):
+            for v in self.swap_candidates(members, int(u)):
+                j = column.get(v)
+                if j is not None:
+                    mask[i, j] = True
+        return mask
 
-    def pair_feasibility_mask(self) -> Optional[np.ndarray]:
-        """Boolean ``n x n`` mask of independent pairs, or ``None``.
+    def pair_feasibility_mask(self) -> np.ndarray:
+        """Boolean ``n x n`` mask of independent pairs.
 
         ``mask[x, y]`` says whether ``{x, y}`` (``x != y``) is independent.
-        Families without a closed-form rule return ``None`` and callers use
-        :func:`restriction_feasible_pairs` instead.
+        The default asks :meth:`is_independent` once per unordered pair;
+        families with a closed-form rule override it.
         """
-        return None
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        for x in range(self.n):
+            for y in range(x + 1, self.n):
+                if self.is_independent((x, y)):
+                    mask[x, y] = mask[y, x] = True
+        return mask
 
     def restrict(self, elements: Iterable[Element]) -> "Matroid":
         """Return this matroid restricted to ``elements``, re-indexed from 0.
@@ -233,14 +246,3 @@ class Matroid(ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n})"
 
-
-def restriction_feasible_pairs(matroid: Matroid) -> Iterator[Tuple[Element, Element]]:
-    """Yield all pairs ``{x, y}`` that are independent in the matroid.
-
-    The local search initialization (Section 5) picks the feasible pair
-    maximizing ``f({x, y}) + λ·d(x, y)``.
-    """
-    for x in range(matroid.n):
-        for y in range(x + 1, matroid.n):
-            if matroid.is_independent({x, y}):
-                yield x, y

@@ -25,10 +25,10 @@ class RestrictedMatroid(Matroid):
 
     Local element ``i`` maps to ``pool[i]`` in the inner matroid's universe
     (``pool`` = the candidate iterable deduplicated in first-seen order).
-    Independence, swap candidacy and the vectorized feasibility hooks are all
-    delegated to the inner matroid after index translation, so the wrapper is
-    exactly as strong as the family it wraps: closed-form hooks stay
-    closed-form, oracle-only families stay oracle-only.
+    Independence, swap candidacy and the swap-feasibility mask are delegated
+    to the inner matroid after index translation, so a closed-form swap rule
+    stays closed-form.  The pair mask uses the base default over the pool's
+    own pairs (O(k²) oracle calls), never the inner matroid's O(n²) mask.
     """
 
     def __init__(self, inner: Matroid, elements: Iterable[Element]) -> None:
@@ -85,21 +85,15 @@ class RestrictedMatroid(Matroid):
         basis: Iterable[Element],
         incoming: np.ndarray,
         outgoing: np.ndarray,
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         # Index translation preserves the (i, j) alignment, so the inner
-        # family's closed-form rule (when it has one) applies verbatim.
+        # family's rule (closed-form when it has one) applies verbatim.
         mapped_basis = [self._globals[e] for e in basis]
         return self._inner.swap_feasibility(
             mapped_basis,
             self._global_array[np.asarray(incoming, dtype=int)],
             self._global_array[np.asarray(outgoing, dtype=int)],
         )
-
-    def pair_feasibility_mask(self) -> Optional[np.ndarray]:
-        mask = self._inner.pair_feasibility_mask()
-        if mask is None:
-            return None
-        return mask[np.ix_(self._global_array, self._global_array)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -64,10 +64,10 @@ class TruncatedMatroid(Matroid):
         basis: Iterable[Element],
         incoming: np.ndarray,
         outgoing: np.ndarray,
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         return self._inner.swap_feasibility(basis, incoming, outgoing)
 
-    def pair_feasibility_mask(self) -> Optional[np.ndarray]:
+    def pair_feasibility_mask(self) -> np.ndarray:
         if self._p < 2:
             return np.zeros((self.n, self.n), dtype=bool)
         return self._inner.pair_feasibility_mask()

@@ -21,22 +21,20 @@ class Metric(ABC):
 
     Subclasses must implement :meth:`distance` and :attr:`n`.  The default
     implementations of the bulk helpers fall back to pairwise queries;
-    matrix-backed metrics override them with vectorized versions.
+    concrete metrics override them with array versions.
 
-    The interface is three-tier:
+    The algorithms read distances through :meth:`block` (plus :meth:`row`
+    for the marginal tracker), so every metric runs the same array code path
+    in :mod:`repro.core.kernels`.  What differs is storage:
 
-    * **Oracle metrics** only answer :meth:`distance` queries; algorithms use
-      their reference (loop-based) code paths.
-    * **Matrix-backed metrics** additionally expose :meth:`matrix_view` (the
-      full ``n x n`` array without a copy) and a cheap :meth:`row`, which the
-      vectorized kernels in :mod:`repro.core.kernels` use to replace per-pair
-      Python loops with NumPy array operations.
-    * **Lazy (block) metrics** answer :meth:`block` requests — arbitrary
-      ``rows × cols`` distance blocks computed on demand, never touching the
-      global ``n x n`` matrix — and may offer :meth:`restrict_lazy`, a
-      copy-light sub-metric that stays lazy.  The sharded core-set solver
-      (:mod:`repro.core.sharding`) is built on this tier: it lets ``n`` grow
-      to the hundreds of thousands while only ever materializing per-shard
+    * **Materialized metrics** hold the full ``n x n`` array, expose it
+      through :meth:`matrix_view` without a copy, and serve blocks as slices.
+    * **Lazy metrics** compute blocks on demand — feature metrics as chunked
+      array operations, a metric that only implements :meth:`distance`
+      through the base default below — and may offer :meth:`restrict_lazy`,
+      a copy-light sub-metric that stays lazy.  The sharded core-set solver
+      (:mod:`repro.core.sharding`) is built on them: it lets ``n`` grow to
+      the hundreds of thousands while only ever materializing per-shard
       blocks.
     """
 
@@ -68,10 +66,11 @@ class Metric(ABC):
     def block(self, rows: Iterable[Element], cols: Iterable[Element]) -> np.ndarray:
         """Return the distance block ``B[i, j] = d(rows[i], cols[j])``.
 
-        The lazy-tier workhorse: callers ask for exactly the sub-block they
-        need (a shard's ``k × k`` submatrix, a candidate-to-solution strip)
-        and no global ``n × n`` array is ever formed.  Indices may repeat and
-        need not be sorted; the result is a fresh array the caller owns.
+        The distance source of every pair and swap scan: callers ask for
+        exactly the sub-block they need (a shard's ``k × k`` submatrix, a
+        candidate-to-solution strip) and no global ``n × n`` array is ever
+        formed.  Indices may repeat and need not be sorted; the result is a
+        fresh array the caller owns.
 
         The default implementation performs one :meth:`distances_from` sweep
         per row — vectorized for feature metrics, an O(|rows|·|cols|) oracle
@@ -114,11 +113,11 @@ class Metric(ABC):
     def matrix_view(self) -> Optional[np.ndarray]:
         """Return the underlying ``n x n`` matrix without copying, or ``None``.
 
-        This is the fast-path hook of the two-tier protocol: when it returns
-        an array, the vectorized kernels in :mod:`repro.core.kernels` operate
-        directly on it (submatrix sums, masked argmax scans); when it returns
-        ``None`` the algorithms use their loop-based reference paths.  The
-        returned array is shared storage — callers must never mutate it.
+        Materialized metrics return their storage, which lets storage-level
+        callers (aggregates, the sharded solver's materialize-or-not choice,
+        the dynamic engine) skip block construction; lazy metrics return
+        ``None``.  The returned array is shared storage — callers must never
+        mutate it.
         """
         return None
 

@@ -1,8 +1,8 @@
 """Small shared utilities: deterministic RNG handling, timing, validation."""
 
+from repro.obs.trace import Stopwatch, timed
 from repro.utils.deadline import Deadline, mark_interrupted
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     check_cardinality,
     check_elements,

@@ -1,10 +1,11 @@
 """Kernel/reference equivalence tests.
 
-Every vectorized kernel (pair seeding, best-swap scan, aggregates, streaming
+Every array kernel (pair seeding, best-swap scan, aggregates, streaming
 arrival rule, dynamic best swap, blocked triangle check) must agree with the
-loop-based reference path to 1e-9 on random instances.  The reference path is
-exercised by wrapping the same distance matrix in an oracle-only adapter that
-hides :meth:`~repro.metrics.base.Metric.matrix_view`.
+loop formulations of :mod:`repro.testing.reference` to 1e-9 on random
+instances.  Wrapping the same distance matrix in an oracle-only adapter that
+hides :meth:`~repro.metrics.base.Metric.matrix_view` additionally checks that
+the block path gives the same answers for oracle metrics.
 """
 
 from __future__ import annotations
@@ -12,21 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro._types import Element
 from repro.core import kernels
-from repro.core.greedy import _best_pair, greedy_diversify
-from repro.core.local_search import (
-    _scan_swaps_reference,
-    _scan_swaps_submodular,
-    _scan_swaps_vectorized,
-    local_search_diversify,
-)
+from repro.core.greedy import greedy_diversify
+from repro.core.local_search import _scan_swaps, local_search_diversify
 from repro.core.objective import Objective
 from repro.core.streaming import streaming_diversify
 from repro.dynamic.update_rules import best_swap
 from repro.functions.facility_location import FacilityLocationFunction
 from repro.functions.modular import ModularFunction
-from repro.matroids.base import restriction_feasible_pairs
 from repro.matroids.partition import PartitionMatroid
 from repro.matroids.uniform import UniformMatroid
 from repro.metrics.aggregates import (
@@ -35,23 +29,16 @@ from repro.metrics.aggregates import (
     set_cross_distance,
     set_distance,
 )
-from repro.metrics.base import Metric
 from repro.metrics.matrix import DistanceMatrix
 from repro.metrics.validation import triangle_violations
-
-
-class OracleOnlyMetric(Metric):
-    """Hide a matrix behind the pairwise oracle to force the reference path."""
-
-    def __init__(self, inner: Metric) -> None:
-        self._inner = inner
-
-    @property
-    def n(self) -> int:
-        return self._inner.n
-
-    def distance(self, u: Element, v: Element) -> float:
-        return self._inner.distance(u, v)
+from repro.testing.reference import (
+    OracleOnlyMetric,
+    best_pair_reference,
+    best_swap_reference,
+    local_search_reference,
+    restriction_feasible_pairs,
+    scan_swaps_reference,
+)
 
 
 def random_instance(seed: int, n: int = 40):
@@ -70,26 +57,8 @@ def paired_objectives(seed: int, n: int = 40):
     return fast, slow
 
 
-class TestFastPathDetection:
-    def test_matrix_modular_is_eligible(self):
-        fast, slow = paired_objectives(0)
-        assert kernels.matrix_fast_path(fast) is not None
-        assert kernels.matrix_fast_path(slow) is None
-
-    def test_submodular_quality_is_not_eligible(self):
-        metric, _, tradeoff = random_instance(1)
-        quality = FacilityLocationFunction.from_distances(metric.to_matrix())
-        objective = Objective(quality, metric, tradeoff)
-        assert kernels.matrix_fast_path(objective) is None
-        assert not kernels.swap_kernel_supported(objective, UniformMatroid(metric.n, 5))
-
-    def test_swap_kernel_needs_closed_form_matroid(self):
-        fast, _ = paired_objectives(2)
-        assert kernels.swap_kernel_supported(fast, UniformMatroid(fast.n, 5))
-        blocks = [u % 4 for u in range(fast.n)]
-        assert kernels.swap_kernel_supported(
-            fast, PartitionMatroid(blocks, {b: 2 for b in range(4)})
-        )
+def _weights(objective):
+    return kernels.modular_weights(objective.quality)
 
 
 class TestPairSeeding:
@@ -97,25 +66,30 @@ class TestPairSeeding:
     def test_best_pair_matches_loop(self, seed):
         fast, slow = paired_objectives(seed)
         pool = list(range(fast.n))
-        assert _best_pair(fast, pool) == _best_pair(slow, pool)
+        expected = best_pair_reference(slow, pool)
+        for objective in (fast, slow):
+            move = kernels.pair_argmax(objective, _weights(objective), pool)
+            assert move[:2] == expected[:2]
+            assert move[2] == pytest.approx(expected[2], abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_best_pair_on_restricted_pool(self, seed):
         fast, slow = paired_objectives(seed)
         rng = np.random.default_rng(seed + 100)
         pool = list(rng.choice(fast.n, size=17, replace=False))
-        assert _best_pair(fast, pool) == _best_pair(slow, pool)
+        expected = best_pair_reference(slow, pool)
+        for objective in (fast, slow):
+            move = kernels.pair_argmax(objective, _weights(objective), pool)
+            assert move[:2] == expected[:2]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pair_argmax_respects_partition_mask(self, seed):
         fast, _ = paired_objectives(seed)
         blocks = [u % 3 for u in range(fast.n)]
         matroid = PartitionMatroid(blocks, {0: 1, 1: 2, 2: 1})
-        weights, matrix = kernels.matrix_fast_path(fast)
         move = kernels.pair_argmax(
-            weights,
-            matrix,
-            fast.tradeoff,
+            fast,
+            _weights(fast),
             range(fast.n),
             mask=matroid.pair_feasibility_mask(),
         )
@@ -126,6 +100,16 @@ class TestPairSeeding:
         assert (move[0], move[1]) == best_loop
         assert move[2] == pytest.approx(fast.pair_value(*best_loop), abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_submodular_pair_scores_match_loop(self, seed):
+        metric, _, tradeoff = random_instance(seed, n=30)
+        quality = FacilityLocationFunction.from_distances(metric.to_matrix())
+        objective = Objective(quality, OracleOnlyMetric(metric), tradeoff)
+        expected = best_pair_reference(objective, range(objective.n))
+        move = kernels.pair_argmax(objective, None, range(objective.n))
+        assert move[:2] == expected[:2]
+        assert move[2] == pytest.approx(expected[2], abs=1e-9)
+
 
 class TestSwapScanEquivalence:
     @pytest.mark.parametrize("seed", range(6))
@@ -134,11 +118,10 @@ class TestSwapScanEquivalence:
         rng = np.random.default_rng(seed)
         selected = set(rng.choice(fast.n, size=8, replace=False).tolist())
         matroid = UniformMatroid(fast.n, len(selected))
-        weights, matrix = kernels.matrix_fast_path(fast)
-        vec = _scan_swaps_vectorized(
-            fast, matroid, selected, fast.make_tracker(selected), 0.0, weights, matrix
+        vec = _scan_swaps(
+            fast, matroid, selected, fast.make_tracker(selected), 0.0, _weights(fast)
         )
-        ref = _scan_swaps_reference(
+        ref = scan_swaps_reference(
             slow, matroid, selected, slow.make_tracker(selected), 0.0
         )
         assert (vec is None) == (ref is None)
@@ -156,11 +139,10 @@ class TestSwapScanEquivalence:
         blocks = [u % 4 for u in range(fast.n)]
         matroid = PartitionMatroid(blocks, {b: 2 for b in range(4)})
         selected = set(matroid.extend_to_basis(frozenset()))
-        weights, matrix = kernels.matrix_fast_path(fast)
-        vec = _scan_swaps_vectorized(
-            fast, matroid, selected, fast.make_tracker(selected), 0.0, weights, matrix
+        vec = _scan_swaps(
+            fast, matroid, selected, fast.make_tracker(selected), 0.0, _weights(fast)
         )
-        ref = _scan_swaps_reference(
+        ref = scan_swaps_reference(
             slow, matroid, selected, slow.make_tracker(selected), 0.0
         )
         assert (vec is None) == (ref is None)
@@ -174,24 +156,22 @@ class TestSwapScanEquivalence:
         rng = np.random.default_rng(seed)
         selected = set(rng.choice(fast.n, size=6, replace=False).tolist())
         matroid = UniformMatroid(fast.n, len(selected))
-        weights, matrix = kernels.matrix_fast_path(fast)
         huge = 1e9
         assert (
-            _scan_swaps_vectorized(
+            _scan_swaps(
                 fast,
                 matroid,
                 selected,
                 fast.make_tracker(selected),
                 huge,
-                weights,
-                matrix,
+                _weights(fast),
             )
             is None
         )
 
 
 class TestSubmodularSwapScanEquivalence:
-    """The protocol-backed kernel scan must match the reference loop scan."""
+    """The protocol-backed scan must match the reference loop scan."""
 
     @staticmethod
     def _submodular_objective(seed: int, n: int = 30):
@@ -215,15 +195,8 @@ class TestSubmodularSwapScanEquivalence:
         selected = set(rng.choice(objective.n, size=7, replace=False).tolist())
         matroid = UniformMatroid(objective.n, len(selected))
         tracker = objective.make_tracker(selected)
-        vec = _scan_swaps_submodular(
-            objective,
-            matroid,
-            selected,
-            tracker,
-            0.0,
-            objective.metric.matrix_view(),
-        )
-        ref = _scan_swaps_reference(objective, matroid, selected, tracker, 0.0)
+        vec = _scan_swaps(objective, matroid, selected, tracker, 0.0, None)
+        ref = scan_swaps_reference(objective, matroid, selected, tracker, 0.0)
         assert (vec is None) == (ref is None)
         if vec is not None:
             assert vec[:2] == ref[:2]
@@ -240,15 +213,8 @@ class TestSubmodularSwapScanEquivalence:
         matroid = PartitionMatroid(blocks, {b: 2 for b in range(4)})
         selected = set(matroid.extend_to_basis(frozenset()))
         tracker = objective.make_tracker(selected)
-        vec = _scan_swaps_submodular(
-            objective,
-            matroid,
-            selected,
-            tracker,
-            0.0,
-            objective.metric.matrix_view(),
-        )
-        ref = _scan_swaps_reference(objective, matroid, selected, tracker, 0.0)
+        vec = _scan_swaps(objective, matroid, selected, tracker, 0.0, None)
+        ref = scan_swaps_reference(objective, matroid, selected, tracker, 0.0)
         assert (vec is None) == (ref is None)
         if vec is not None:
             assert vec[:2] == ref[:2]
@@ -260,16 +226,23 @@ class TestSubmodularSwapScanEquivalence:
         selected = set(rng.choice(objective.n, size=5, replace=False).tolist())
         matroid = UniformMatroid(objective.n, len(selected))
         assert (
-            _scan_swaps_submodular(
+            _scan_swaps(
                 objective,
                 matroid,
                 selected,
                 objective.make_tracker(selected),
                 1e9,
-                objective.metric.matrix_view(),
+                None,
             )
             is None
         )
+
+
+def _assert_matches_reference(result, objective, matroid):
+    selection, swaps, value = local_search_reference(objective, matroid)
+    assert result.selected == selection
+    assert result.iterations == swaps
+    assert result.objective_value == pytest.approx(value, abs=1e-9)
 
 
 class TestEndToEndEquivalence:
@@ -281,6 +254,8 @@ class TestEndToEndEquivalence:
             b = greedy_diversify(slow, 8, start=start)
             assert a.selected == b.selected
             assert a.objective_value == pytest.approx(b.objective_value, abs=1e-9)
+        pair = best_pair_reference(slow, range(slow.n))
+        assert tuple(a.order[:2]) == pair[:2]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_local_search_matches_oracle_path(self, seed):
@@ -290,6 +265,7 @@ class TestEndToEndEquivalence:
         b = local_search_diversify(slow, matroid)
         assert a.selected == b.selected
         assert a.objective_value == pytest.approx(b.objective_value, abs=1e-9)
+        _assert_matches_reference(a, slow, matroid)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_local_search_partition_matches_oracle_path(self, seed):
@@ -300,6 +276,7 @@ class TestEndToEndEquivalence:
         b = local_search_diversify(slow, matroid)
         assert a.selected == b.selected
         assert a.objective_value == pytest.approx(b.objective_value, abs=1e-9)
+        _assert_matches_reference(a, slow, matroid)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_submodular_local_search_still_correct(self, seed):
@@ -312,6 +289,7 @@ class TestEndToEndEquivalence:
         b = local_search_diversify(slow, matroid)
         assert a.selected == b.selected
         assert a.objective_value == pytest.approx(b.objective_value, abs=1e-9)
+        _assert_matches_reference(a, slow, matroid)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_streaming_matches_oracle_path(self, seed):
@@ -328,12 +306,13 @@ class TestEndToEndEquivalence:
         fast, slow = paired_objectives(seed)
         rng = np.random.default_rng(seed + 13)
         solution = set(rng.choice(fast.n, size=6, replace=False).tolist())
-        a = best_swap(fast, solution)
-        b = best_swap(slow, solution)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a[:2] == b[:2]
-            assert a[2] == pytest.approx(b[2], abs=1e-9)
+        expected = best_swap_reference(slow, solution)
+        for objective in (fast, slow):
+            move = best_swap(objective, solution)
+            assert (move is None) == (expected is None)
+            if move is not None:
+                assert move[:2] == expected[:2]
+                assert move[2] == pytest.approx(expected[2], abs=1e-9)
 
 
 class TestAggregateEquivalence:
@@ -410,7 +389,7 @@ class TestAggregateEquivalence:
         metric, _, tradeoff = random_instance(2)
         fast = Objective(ZeroFunction(metric.n), metric, tradeoff)
         slow = Objective(ZeroFunction(metric.n), OracleOnlyMetric(metric), tradeoff)
-        assert kernels.matrix_fast_path(fast) is not None
+        assert kernels.modular_weights(fast.quality) is not None
         a = streaming_diversify(fast, 6)
         b = streaming_diversify(slow, 6)
         assert a.selected == b.selected

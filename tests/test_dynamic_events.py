@@ -216,7 +216,12 @@ class TestMultiEventTicks:
         inside, outside = kernels.solution_split(engine.n, engine.solution)
         margins = kernels.set_margins(matrix, inside)
         gains = kernels.swap_gain_matrix(
-            w, matrix, engine.tradeoff, margins, outside, inside
+            kernels.quality_gains(None, w, outside, inside, selected=engine.solution),
+            matrix[np.ix_(outside, inside)],
+            engine.tradeoff,
+            margins,
+            outside,
+            inside,
         )
         assert kernels.best_swap_scan_from_gains(gains, outside, inside) is None
 

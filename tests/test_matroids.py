@@ -10,12 +10,12 @@ from repro.exceptions import (
     MatroidError,
     NotIndependentError,
 )
-from repro.matroids.base import restriction_feasible_pairs
 from repro.matroids.graphic import GraphicMatroid
 from repro.matroids.partition import PartitionMatroid
 from repro.matroids.transversal import TransversalMatroid
 from repro.matroids.truncation import TruncatedMatroid
 from repro.matroids.uniform import UniformMatroid
+from repro.testing.reference import restriction_feasible_pairs
 
 
 class TestUniformMatroid:

@@ -522,11 +522,6 @@ class TestServerStats:
 # Stopwatch (absorbed into the span layer, API unchanged)
 # ----------------------------------------------------------------------
 class TestStopwatchCompat:
-    def test_reexported_from_utils_timing(self):
-        from repro.utils.timing import Stopwatch as LegacyStopwatch
-
-        assert LegacyStopwatch is Stopwatch
-
     def test_bundle_elapsed_matches_stopwatch_pattern(self):
         # The shard map folds bundle.elapsed into its shard Stopwatch; the
         # two accountings must agree on what a worker's elapsed time is.

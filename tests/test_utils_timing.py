@@ -1,7 +1,7 @@
 """Regression tests: timers must be reusable inside pool workers.
 
 The sharded core-set solver fans shard solves out to thread and process
-pools; its per-shard timing relies on :class:`~repro.utils.timing.Stopwatch`
+pools; its per-shard timing relies on :class:`~repro.obs.trace.Stopwatch`
 accumulating correctly under concurrency and carrying no shared mutable
 state across process boundaries.
 """
@@ -13,7 +13,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
-from repro.utils.timing import Stopwatch, timed
+from repro.obs.trace import Stopwatch, timed
 
 
 def _worker_elapsed(seconds: float) -> float:

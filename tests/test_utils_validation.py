@@ -1,4 +1,4 @@
-"""Tests for repro.utils.validation and repro.utils.timing."""
+"""Tests for repro.utils.validation and the Stopwatch / timed helpers."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.exceptions import InvalidParameterError, NonFiniteDataError
 from repro.metrics.cosine import CosineMetric
 from repro.metrics.euclidean import EuclideanMetric
-from repro.utils.timing import Stopwatch, timed
+from repro.obs.trace import Stopwatch, timed
 from repro.utils.validation import (
     check_cardinality,
     check_elements,

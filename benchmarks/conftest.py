@@ -10,7 +10,52 @@ kept in the benchmark JSON.
 
 from __future__ import annotations
 
-from typing import Callable
+import gc
+import time
+from typing import Callable, Sequence
+
+import numpy as np
+
+
+def interleaved_seconds(
+    arms: Sequence[Callable[[], object]], *, rounds: int, min_block_s: float = 0.0
+) -> np.ndarray:
+    """Per-call seconds of every arm, timed round by round in alternating order.
+
+    Each round times each arm once, as a block of back-to-back calls lasting
+    at least ``min_block_s`` (a single call when 0), after a ``gc.collect()``
+    so every block starts from the same heap.  Odd rounds run the arms in
+    reverse order, so host-speed drift lands on every arm alike instead of on
+    whichever arm happened to run in a slow window.  Returns a
+    ``(rounds, len(arms))`` array.
+    """
+    seconds = np.empty((rounds, len(arms)))
+    for round_index in range(rounds):
+        order = list(range(len(arms)))
+        if round_index % 2:
+            order.reverse()
+        for arm in order:
+            gc.collect()
+            calls = 0
+            started = time.perf_counter()
+            while True:
+                arms[arm]()
+                calls += 1
+                elapsed = time.perf_counter() - started
+                if elapsed >= min_block_s:
+                    break
+            seconds[round_index, arm] = elapsed / calls
+    return seconds
+
+
+def grouped_ratio(seconds: np.ndarray, groups: int) -> float:
+    """Median over ``groups`` consecutive round groups of Σ arm 1 / Σ arm 0.
+
+    Summing a group of interleaved rounds averages per-call jitter; the median
+    over groups keeps one stalled group from deciding the ratio.
+    """
+    sums = seconds.reshape(groups, -1, seconds.shape[1]).sum(axis=1)
+    return float(np.median(sums[:, 1] / sums[:, 0]))
 
 
 def run_once(benchmark, func: Callable, *args, **kwargs):

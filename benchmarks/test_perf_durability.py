@@ -38,8 +38,9 @@ MAX_WAL_OVERHEAD = 0.10
 # The stream runs on this many fresh (plain, durable) session pairs, ticks
 # alternating between the arms; the guard takes the median over pairs of the
 # durable/plain ratio of summed tick times, so a scheduler stall that hits
-# one pair cannot decide it.
-OVERHEAD_REPLICAS = 5
+# one pair cannot decide it.  Nine pairs: the stream now takes ~0.2 s per
+# arm, and five pairs of it read from +3.7% to +9.1%.
+OVERHEAD_REPLICAS = 9
 
 # Recovery guard: 10^4 one-event ticks at n=10k, small shards so every tick's
 # replay re-solves exactly one cheap shard.

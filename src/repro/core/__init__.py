@@ -34,6 +34,7 @@ its experiments compare against:
 * :func:`~repro.core.batch.solve_many` — the batched multi-query front end:
   many candidate pools against one shared corpus with zero per-query O(n²)
   work, optionally mapped over a thread pool for oracle-free instances.
+  Serving windows run through :meth:`repro.serve.PreparedCorpus.solve_window`.
 * :func:`~repro.core.sharding.solve_sharded` — the sharded core-set pipeline
   for universes beyond matrix scale: partition, solve each shard on lazy
   per-shard state (optionally on a thread/process pool), and run the final

@@ -60,14 +60,12 @@ def universe_fingerprint(*parts: Any) -> str:
 
 
 def check_snapshot_version(snapshot: Any, *, source: str = "snapshot") -> Any:
-    """Reject snapshots from a newer (or mangled) format; return ``snapshot``.
+    """Reject unversioned, newer or mangled snapshots; return ``snapshot``.
 
-    Objects without a ``format_version`` attribute predate versioning and
-    pass unchanged, which keeps old pickles loadable.
+    Every snapshot type in this library stamps ``format_version``, so an
+    object without one is not a snapshot this build wrote.
     """
     version = getattr(snapshot, "format_version", None)
-    if version is None:
-        return snapshot
     if not isinstance(version, int) or version < 1:
         raise SnapshotVersionError(
             f"{source} carries an invalid format_version {version!r}"

@@ -37,12 +37,14 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._types import Element
-from repro.exceptions import NumericalDegradationWarning
+from repro.exceptions import InvalidParameterError, NumericalDegradationWarning
 from repro.functions.base import GainState, SetFunction
+from repro.functions.modular import ModularFunction
 
 __all__ = [
     "PAIR_ROW_CHUNK",
     "modular_weights",
+    "hoist_modular_weights",
     "weights_view_of",
     "quality_gains",
     "solution_split",
@@ -92,6 +94,18 @@ def modular_weights(quality: SetFunction) -> Optional[np.ndarray]:
         dtype=float,
         count=quality.n,
     )
+
+
+def hoist_modular_weights(quality: SetFunction) -> SetFunction:
+    """``quality``, or a ``ModularFunction`` over its weights when it is a
+    view-less modular family that would pay one O(n) oracle sweep per query.
+    """
+    if not quality.is_modular or weights_view_of(quality) is not None:
+        return quality
+    try:
+        return ModularFunction(modular_weights(quality))
+    except InvalidParameterError:
+        return quality
 
 
 def quality_gains(

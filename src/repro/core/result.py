@@ -94,14 +94,17 @@ def build_result(
     elapsed_seconds: float = 0.0,
     metadata: Dict[str, Any] | None = None,
 ) -> SolverResult:
-    """Assemble a :class:`SolverResult`, evaluating the objective components."""
+    """Assemble a :class:`SolverResult`, evaluating each objective term once
+    and combining them as :meth:`~repro.core.objective.Objective.value` does."""
     members = frozenset(selected)
+    quality = objective.quality_value(members)
+    dispersion = objective.dispersion_value(members)
     return SolverResult(
         selected=members,
         order=tuple(order),
-        objective_value=objective.value(members),
-        quality_value=objective.quality_value(members),
-        dispersion_value=objective.dispersion_value(members),
+        objective_value=quality + objective.tradeoff * dispersion,
+        quality_value=quality,
+        dispersion_value=dispersion,
         algorithm=algorithm,
         iterations=iterations,
         elapsed_seconds=elapsed_seconds,

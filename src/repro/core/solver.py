@@ -239,9 +239,11 @@ def _dispatch(
 ) -> SolverResult:
     """Run ``algorithm`` on an (already restricted) objective.
 
-    This is the single dispatch point shared by :func:`solve` and the batched
-    :func:`repro.core.batch.solve_many` front end; candidate pools never reach
-    it — they are re-indexed away by the restriction layer in the callers.
+    This is the single dispatch point shared by :func:`solve`, the batched
+    :func:`repro.core.batch.solve_many` front end and the serving window loop
+    :meth:`repro.serve.PreparedCorpus.solve_window`; candidate pools never
+    reach it — they are re-indexed away by the restriction layer in the
+    callers.
     """
     checkpointing = (
         checkpoint_every is not None

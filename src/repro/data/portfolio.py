@@ -121,8 +121,11 @@ def make_portfolio_instance(
         raise InvalidParameterError("need at least one sector")
     rng = make_rng(seed)
     sector_labels = tuple(str(sectors[i % len(sectors)]) for i in range(n))
-    base_risk = {s: rng.uniform(0.1, 0.4) for s in set(sector_labels)}
-    base_return = {s: rng.uniform(0.02, 0.12) for s in set(sector_labels)}
+    # Draw per-sector regimes in first-appearance order: iterating a set of
+    # strings would follow the per-process hash seed, not ``seed``.
+    present = tuple(dict.fromkeys(sector_labels))
+    base_risk = {s: rng.uniform(0.1, 0.4) for s in present}
+    base_return = {s: rng.uniform(0.02, 0.12) for s in present}
     risk = np.array(
         [max(rng.normal(base_risk[s], 0.05), 0.01) for s in sector_labels]
     )

@@ -117,8 +117,7 @@ class SessionSnapshot:
     engine carries exactly the shard winners (stale or not) the live engine
     carried, so replaying the same event stream from the snapshot yields
     bit-identical solutions — the contract durable crash recovery depends
-    on.  ``winners=None`` marks a pre-durability snapshot, for which restore
-    falls back to re-solving every shard.
+    on.
     """
 
     points: np.ndarray
@@ -129,9 +128,9 @@ class SessionSnapshot:
     tradeoff: float
     shard_size: int
     per_shard_p: int
+    winners: Tuple[Tuple[int, Tuple[Element, ...]], ...]
     overrides: Tuple[Tuple[int, int, float], ...] = ()
     ticks: int = 0
-    winners: Optional[Tuple[Tuple[int, Tuple[Element, ...]], ...]] = None
     degraded: bool = False
     core_stale: bool = False
     format_version: int = SNAPSHOT_FORMAT_VERSION
@@ -220,8 +219,9 @@ class ShardedDynamicEngine:
         self._shard_size = int(shard_size)
         self._per_shard_p = int(per_shard_p) if per_shard_p is not None else int(p)
         self._metric_factory = metric_factory or EuclideanMetric
-        self._overrides: Dict[Tuple[int, int], float] = {}
-        self._base_metric: Optional[Metric] = None
+        self._base_metric = self._metric_factory(self._points[: self._slots])
+        # The one override table, updated in place by distance/delete events.
+        self._overlay = PatchedMetric(self._base_metric)
         self._winners: Dict[int, np.ndarray] = {}
         self._solution: Set[int] = set()
         self._failures: List[dict] = []
@@ -282,7 +282,7 @@ class ShardedDynamicEngine:
 
     @property
     def num_overrides(self) -> int:
-        return len(self._overrides)
+        return self._overlay.num_overrides
 
     def weight(self, element: Element) -> float:
         return float(self._weights[element])
@@ -292,11 +292,7 @@ class ShardedDynamicEngine:
 
     def metric(self) -> Metric:
         """The current metric: lazy base plus the sparse override overlay."""
-        if self._base_metric is None:
-            self._base_metric = self._metric_factory(self._points[: self._slots])
-        if self._overrides:
-            return PatchedMetric(self._base_metric, self._overrides)
-        return self._base_metric
+        return self._overlay if self._overlay.num_overrides else self._base_metric
 
     @property
     def solution_value(self) -> float:
@@ -387,13 +383,9 @@ class ShardedDynamicEngine:
             batch.distance_delta_pairs.tolist(), batch.distance_deltas.tolist()
         ):
             key = (int(u), int(v))
-            current = (
-                pair_events[key]
-                if key in pair_events
-                else self._overrides.get(key, None)
-            )
+            current = pair_events.get(key)
             if current is None:
-                current = self.metric().distance(*key)
+                current = self._overlay.distance(*key)
             pair_events[key] = current + float(delta)
         if pair_events:
             for key, value in pair_events.items():
@@ -402,7 +394,7 @@ class ShardedDynamicEngine:
                         "a distance decrease would make the distance negative"
                     )
             for (u, v), value in pair_events.items():
-                self._overrides[(u, v)] = max(float(value), 0.0)
+                self._overlay.set_override(u, v, max(float(value), 0.0))
                 dirty.add(self._shard_of(u))
                 dirty.add(self._shard_of(v))
                 if u in self._solution or v in self._solution:
@@ -421,9 +413,11 @@ class ShardedDynamicEngine:
             self._points[slot] = point
             self._weights[slot] = batch.insert_weights[i]
             self._active[slot] = True
-            self._base_metric = None  # point matrix changed
             inserted.append(slot)
             dirty.add(self._shard_of(slot))
+        if inserted:  # the point matrix changed under the overlay
+            self._base_metric = self._metric_factory(self._points[: self._slots])
+            self._overlay.rebase(self._base_metric)
 
         # Deletes: retire slots, drop their overrides, shrink the solution.
         deleted_members: List[int] = []
@@ -438,11 +432,7 @@ class ShardedDynamicEngine:
                     touched_members = True
             gone = set(batch.delete_elements.tolist())
             self._free = sorted(set(self._free) | gone)
-            self._overrides = {
-                key: value
-                for key, value in self._overrides.items()
-                if key[0] not in gone and key[1] not in gone
-            }
+            self._overlay.drop_overrides(gone)
             self._winners = {
                 shard: winners[~np.isin(winners, list(gone))]
                 for shard, winners in self._winners.items()
@@ -624,7 +614,8 @@ class ShardedDynamicEngine:
             shard_size=self._shard_size,
             per_shard_p=self._per_shard_p,
             overrides=tuple(
-                (u, v, value) for (u, v), value in sorted(self._overrides.items())
+                (u, v, value)
+                for (u, v), value in sorted(self._overlay.overrides.items())
             ),
             ticks=ticks,
             winners=tuple(
@@ -667,30 +658,23 @@ class ShardedDynamicEngine:
         engine._shard_size = int(snapshot.shard_size)
         engine._per_shard_p = int(snapshot.per_shard_p)
         engine._metric_factory = metric_factory or EuclideanMetric
-        engine._overrides = {
-            (int(u), int(v)): float(value) for u, v, value in snapshot.overrides
-        }
-        engine._base_metric = None
+        engine._base_metric = engine._metric_factory(engine._points[:slots])
+        engine._overlay = PatchedMetric(
+            engine._base_metric,
+            {(int(u), int(v)): float(value) for u, v, value in snapshot.overrides},
+        )
         engine._solution = set(int(e) for e in snapshot.solution)
         engine._failures = []
         engine._ticks = int(snapshot.ticks)
-        if snapshot.winners is not None:
-            # Faithful restore: adopt the captured repair state verbatim —
-            # including stale winners of degraded shards — so the restored
-            # engine is indistinguishable from the one that was snapshotted.
-            engine._winners = {
-                int(shard): np.asarray(winners, dtype=int)
-                for shard, winners in snapshot.winners
-            }
-            engine._degraded = bool(snapshot.degraded)
-            engine._core_stale = bool(snapshot.core_stale)
-        else:
-            # Pre-durability snapshot: repair state was not captured, so
-            # rebuild it with a full shard re-solve (may heal degradation).
-            engine._winners = {}
-            engine._degraded = False
-            engine._core_stale = True
-            engine._repair(set(range(engine.num_shards)), touched_members=False)
+        # Faithful restore: adopt the captured repair state verbatim —
+        # including stale winners of degraded shards — so the restored engine
+        # is indistinguishable from the one that was snapshotted.
+        engine._winners = {
+            int(shard): np.asarray(winners, dtype=int)
+            for shard, winners in snapshot.winners
+        }
+        engine._degraded = bool(snapshot.degraded)
+        engine._core_stale = bool(snapshot.core_stale)
         return engine
 
 

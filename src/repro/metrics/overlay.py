@@ -9,11 +9,14 @@ rows) and each Type III/IV perturbation becomes one dictionary entry instead
 of a matrix write.
 
 Overrides compose with the lazy tier: :meth:`PatchedMetric.restrict_lazy`
-re-maps the override table onto the pool and wraps the base's lazy
+re-maps the pool's overrides onto local indices and wraps the base's lazy
 restriction, so the sharded solver's per-shard sub-metrics observe the
-patches without materializing anything.  Nothing here re-checks the triangle
-inequality — arbitrary overrides can leave the relaxed-metric regime the
-paper's Section 8 discusses, which is the caller's trade-off to make
+patches without materializing anything.  Every read walks the per-endpoint
+index of the elements it is asked about, never the whole table, so a
+long-lived overlay updated in place costs a read only the patches it touches.
+Nothing here re-checks the triangle inequality — arbitrary overrides can
+leave the relaxed-metric regime the paper's Section 8 discusses, which is the
+caller's trade-off to make
 (:func:`~repro.metrics.validation.pair_triangle_violations` is the cheap
 per-change check when validation is wanted).
 """
@@ -51,8 +54,8 @@ class PatchedMetric(Metric):
     ) -> None:
         self._base = base
         self._overrides: Dict[Tuple[int, int], float] = {}
-        # Per-endpoint index for O(1) "does u have patches?" tests on the
-        # row/distances_from hot paths.
+        # Per-endpoint index: every read walks the patches of the elements it
+        # is asked about through this, never the whole table.
         self._by_node: Dict[int, Dict[int, float]] = {}
         for (u, v), value in (overrides or {}).items():
             self.set_override(u, v, value)
@@ -64,6 +67,19 @@ class PatchedMetric(Metric):
     def base(self) -> Metric:
         """The wrapped metric."""
         return self._base
+
+    def rebase(self, base: Metric) -> None:
+        """Wrap ``base`` instead, keeping the override table.
+
+        The dynamic engine calls this when inserts grow the point matrix
+        under the overlay; ``base`` must still cover every overridden pair.
+        """
+        if self._by_node and max(self._by_node) >= base.n:
+            raise InvalidParameterError(
+                f"the new base covers {base.n} elements but overrides reach "
+                f"element {max(self._by_node)}"
+            )
+        self._base = base
 
     @property
     def overrides(self) -> Dict[Tuple[int, int], float]:
@@ -101,15 +117,13 @@ class PatchedMetric(Metric):
         The dynamic engine calls this when an element is deleted, so a later
         insert reusing the id does not inherit stale patches.
         """
-        doomed = {int(e) for e in elements}
-        for pair in [p for p in self._overrides if p[0] in doomed or p[1] in doomed]:
-            del self._overrides[pair]
-            a, b = pair
-            self._by_node[a].pop(b, None)
-            self._by_node[b].pop(a, None)
-            for node in (a, b):
-                if not self._by_node.get(node):
-                    self._by_node.pop(node, None)
+        for u in {int(e) for e in elements}:
+            for v in self._by_node.pop(u, {}):
+                del self._overrides[(u, v) if u < v else (v, u)]
+                partners = self._by_node[v]
+                del partners[u]
+                if not partners:
+                    del self._by_node[v]
 
     # ------------------------------------------------------------------
     # Metric interface
@@ -150,18 +164,20 @@ class PatchedMetric(Metric):
         row_idx = np.asarray(rows, dtype=int)
         col_idx = np.asarray(cols, dtype=int)
         out = self._base.block(row_idx, col_idx)
-        if self._overrides:
-            row_pos: Dict[int, list] = {}
-            for i, r in enumerate(row_idx.tolist()):
-                row_pos.setdefault(r, []).append(i)
-            col_pos: Dict[int, list] = {}
-            for j, c in enumerate(col_idx.tolist()):
-                col_pos.setdefault(c, []).append(j)
-            for (a, b), value in self._overrides.items():
-                for x, y in ((a, b), (b, a)):
-                    for i in row_pos.get(x, ()):
-                        for j in col_pos.get(y, ()):
-                            out[i, j] = value
+        if not self._by_node:
+            return out
+        col_pos: Optional[Dict[int, list]] = None
+        for i, r in enumerate(row_idx.tolist()):
+            patch = self._by_node.get(r)
+            if not patch:
+                continue
+            if col_pos is None:
+                col_pos = {}
+                for j, c in enumerate(col_idx.tolist()):
+                    col_pos.setdefault(c, []).append(j)
+            for t, value in patch.items():
+                for j in col_pos.get(t, ()):
+                    out[i, j] = value
         return out
 
     def to_matrix(self) -> np.ndarray:
@@ -185,14 +201,7 @@ class PatchedMetric(Metric):
         lazy = self._base.restrict_lazy(pool)
         if lazy is None:
             return None
-        if not self._overrides:
-            return lazy
-        positions = {int(g): i for i, g in enumerate(pool.tolist())}
-        remapped = {
-            (positions[a], positions[b]): value
-            for (a, b), value in self._overrides.items()
-            if a in positions and b in positions
-        }
+        remapped = self._remapped(pool)
         if not remapped:
             return lazy
         return PatchedMetric(lazy, remapped)
@@ -203,12 +212,7 @@ class PatchedMetric(Metric):
 
         pool = check_candidate_pool(elements, self.n)
         sub = self._base.restrict(pool)
-        positions = {int(g): i for i, g in enumerate(pool.tolist())}
-        remapped = {
-            (positions[a], positions[b]): value
-            for (a, b), value in self._overrides.items()
-            if a in positions and b in positions
-        }
+        remapped = self._remapped(pool)
         if not remapped:
             return sub
         matrix = sub.to_matrix()
@@ -216,6 +220,19 @@ class PatchedMetric(Metric):
             matrix[a, b] = value
             matrix[b, a] = value
         return DistanceMatrix(matrix, copy=False)
+
+    def _remapped(self, pool: np.ndarray) -> Dict[Tuple[int, int], float]:
+        """The overrides between members of ``pool``, in pool-local indices."""
+        if not self._by_node:
+            return {}
+        positions = {g: i for i, g in enumerate(pool.tolist())}
+        remapped: Dict[Tuple[int, int], float] = {}
+        for g, i in positions.items():
+            for t, value in self._by_node.get(g, {}).items():
+                j = positions.get(t)
+                if j is not None and i < j:
+                    remapped[(i, j)] = value
+        return remapped
 
     @property
     def parallel_safe(self) -> bool:

@@ -5,7 +5,8 @@ The long-lived, high-QPS entry point over the solver stack:
 * :class:`~repro.serve.corpus.PreparedCorpus` — a fixed universe prepared
   once (materialized-or-lazy metric, hoisted modular weights, warm gain
   states, an LRU cache of pool restriction views) and solved against many
-  times;
+  times; its ``solve_window`` is the one window loop, each request isolated
+  in its own slot;
 * :class:`~repro.serve.server.Server` — the asyncio front end whose
   ``submit`` coroutines are coalesced into micro-batch windows executed
   off-loop, with per-request deadlines and disconnect cancellation;

@@ -13,7 +13,8 @@ that state:
   (:meth:`~repro.metrics.base.Metric.restrict_lazy`), so a pool of ``k``
   candidates costs O(k·d) — never O(n²);
 * the **modular weight vector**, derived once even for view-less modular
-  families (the same hoist :func:`~repro.core.batch.solve_many` does);
+  families (:func:`~repro.core.kernels.hoist_modular_weights`, the hoist
+  :func:`~repro.core.batch.solve_many` shares);
 * the **warm gain state** for non-modular quality: building one empty
   :meth:`~repro.functions.base.SetFunction.gain_state` at prepare time runs
   the construction-time work the batched-gains protocol caches (coverage
@@ -22,11 +23,10 @@ that state:
 * an **LRU cache of restriction views** keyed by the (deduplicated) pool, so
   hot pools reuse their sub-instance across batch windows.
 
-:meth:`PreparedCorpus.solve_window` is the synchronous window executor the
-async :class:`~repro.serve.server.Server` drives off-loop; it delegates
-pool-scoped queries to :func:`~repro.core.batch.solve_window` and
-full-universe queries on sharded corpora to
-:func:`~repro.core.sharding.solve_sharded`.
+:meth:`PreparedCorpus.solve_window` is the one window loop, driven off-loop
+by the async :class:`~repro.serve.server.Server`: each request runs on its
+cached restriction view, or through :func:`~repro.core.sharding.solve_sharded`
+when it spans a sharded corpus's full universe.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro._types import Element
 from repro.core import kernels
-from repro.core.batch import WindowQuery, solve_window
 from repro.core.checkpoint import (
     SNAPSHOT_FORMAT_VERSION,
     check_snapshot_version,
@@ -52,15 +51,16 @@ from repro.core.checkpoint import (
 from repro.core.local_search import LocalSearchConfig
 from repro.core.objective import Objective
 from repro.core.restriction import Restriction
-from repro.core.result import SolverResult
+from repro.core.result import SolverResult, build_result
 from repro.core.sharding import sub_metric
+from repro.core.solver import ALGORITHMS, _dispatch
 from repro.exceptions import InvalidParameterError
 from repro.functions.base import GainState, SetFunction
 from repro.functions.modular import ModularFunction
 from repro.matroids.base import Matroid
 from repro.metrics.base import Metric
 from repro.metrics.matrix import as_distance_matrix
-from repro.utils.deadline import Deadline
+from repro.utils.deadline import Deadline, mark_interrupted
 from repro.utils.validation import check_candidate_pool
 
 __all__ = ["CorpusSnapshot", "PreparedCorpus", "ServeQuery"]
@@ -76,17 +76,16 @@ DEFAULT_CACHE_SIZE = 256
 
 @dataclass
 class ServeQuery:
-    """One serving request, before pool resolution.
+    """One serving request: a query-scoped instance on the shared corpus.
 
-    The user-facing sibling of :class:`~repro.core.batch.WindowQuery`:
-    instead of a pre-built restriction it carries the raw ``pool`` (corpus
-    element indices, or ``None`` for the full universe) plus the per-request
-    knobs.  ``weights``, when given, holds one modular weight per distinct
-    pool element in pool order — per-request relevance scores over a shared
-    metric.  ``matroid`` is a *corpus-level* constraint; it is restricted to
-    the pool during window execution (and is unsupported for full-universe
-    queries on sharded corpora, where the core-set argument is
-    cardinality-specific).
+    ``pool`` holds corpus element indices (``None`` for the full universe);
+    exactly one of ``p`` (clamped to the pool) and ``matroid`` is set.
+    ``weights``, when given, holds one modular weight per distinct pool
+    element in pool order — per-request relevance scores over a shared
+    metric.  ``matroid`` is a *corpus-level* constraint restricted to the
+    pool (unsupported for full-universe queries on sharded corpora, where
+    the core-set argument is cardinality-specific).  ``tag`` is an opaque
+    caller payload.
     """
 
     pool: Optional[Sequence[Element]] = None
@@ -175,11 +174,6 @@ class PreparedCorpus:
         otherwise universes up to :data:`AUTO_MATERIALIZE_CAP` elements are
         materialized (amortized over the corpus lifetime) while larger ones
         stay lazy.
-    materialize_pools:
-        When the corpus is *not* materialized, whether each pool restriction
-        materializes its O(k²) distance block (vectorized kernels; what
-        swap-scan algorithms want) instead of staying on the O(k·d) lazy
-        slice (what greedy/CELF want).  Default ``False``.
     shards, shard_size, shard_workers, shard_executor:
         Sharded core-set configuration for **full-universe** queries
         (``pool=None``): they run through
@@ -199,7 +193,6 @@ class PreparedCorpus:
         *,
         tradeoff: float,
         materialize: Optional[bool] = None,
-        materialize_pools: bool = False,
         shards: Optional[int] = None,
         shard_size: Optional[int] = None,
         shard_workers: Optional[int] = None,
@@ -218,24 +211,14 @@ class PreparedCorpus:
         if materialize and metric.matrix_view() is None:
             metric = as_distance_matrix(metric)
         self._materialized = metric.matrix_view() is not None
-        self._materialize_pools = bool(materialize_pools)
         self._metric = metric
         self._shards = shards
         self._shard_size = shard_size
         self._shard_workers = shard_workers
         self._shard_executor = shard_executor
 
-        shared_quality = quality
-        if quality.is_modular and kernels.weights_view_of(quality) is None:
-            # Same hoist as solve_many: view-less modular families would pay
-            # one O(n) oracle sweep per query inside the kernels.
-            weights = kernels.modular_weights(quality)
-            try:
-                shared_quality = ModularFunction(weights)
-            except InvalidParameterError:
-                shared_quality = quality
-        self._quality = shared_quality
-        self._objective = Objective(shared_quality, metric, tradeoff)
+        self._quality = kernels.hoist_modular_weights(quality)
+        self._objective = Objective(self._quality, metric, tradeoff)
 
         self._cache: "OrderedDict[tuple, Restriction]" = OrderedDict()
         self._cache_size = int(cache_size)
@@ -244,8 +227,8 @@ class PreparedCorpus:
         self._misses = 0
         self._identity: Optional[Restriction] = None
         self._warm_state: Optional[GainState] = None
-        if warm and not shared_quality.is_modular:
-            self._warm_state = shared_quality.gain_state(())
+        if warm and not self._quality.is_modular:
+            self._warm_state = self._quality.gain_state(())
 
     # ------------------------------------------------------------------
     # Accessors
@@ -317,8 +300,7 @@ class PreparedCorpus:
         Pools are deduplicated in first-seen order and keyed exactly, so two
         requests naming the same pool share one view.  On a materialized
         corpus the view is a submatrix (copy-free for uniform-stride pools);
-        on a lazy corpus it is an O(k·d) lazy slice, or an O(k²) block when
-        ``materialize_pools`` was requested.
+        on a lazy corpus it is an O(k·d) lazy slice.
         """
         pool_arr = check_candidate_pool(pool, self.n)
         key = tuple(pool_arr.tolist())
@@ -335,9 +317,7 @@ class PreparedCorpus:
             restriction = Restriction(
                 self._objective,
                 pool_arr,
-                metric=sub_metric(
-                    self._metric, pool_arr, materialize=self._materialize_pools
-                ),
+                metric=sub_metric(self._metric, pool_arr, materialize=False),
             )
         if self._cache_size > 0:
             with self._cache_lock:
@@ -357,7 +337,11 @@ class PreparedCorpus:
     # ------------------------------------------------------------------
     # Window execution
     # ------------------------------------------------------------------
-    def _window_query(self, request: ServeQuery) -> WindowQuery:
+    def _solve_pool(
+        self, request: ServeQuery, deadline: Optional[Deadline]
+    ) -> SolverResult:
+        """A pool-scoped query (or a full-universe one on an unsharded corpus)
+        on its cached restriction view, lifted back to corpus indices."""
         restriction = (
             self._identity_restriction()
             if request.pool is None
@@ -371,20 +355,51 @@ class PreparedCorpus:
                     f"covers {self.n}"
                 )
             matroid = matroid.restrict(restriction.candidates)
-        return WindowQuery(
-            restriction=restriction,
-            p=request.p,
+        if (request.p is None) == (matroid is None):
+            raise InvalidParameterError("supply exactly one of p and matroid")
+        if request.algorithm not in ALGORITHMS:
+            raise InvalidParameterError(
+                f"unknown algorithm {request.algorithm!r}; expected one of "
+                f"{ALGORITHMS}"
+            )
+        if deadline is not None and deadline.expired():
+            # The budget ran out while the request sat in the window queue:
+            # report an empty (trivially feasible) selection immediately.
+            empty = build_result(
+                restriction.objective,
+                set(),
+                [],
+                algorithm=request.algorithm,
+                metadata=mark_interrupted({}, deadline, "window_queue"),
+            )
+            return restriction.lift(empty)
+        objective = restriction.objective
+        if request.weights is not None:
+            weights = np.asarray(request.weights, dtype=float)
+            if weights.shape != (restriction.n,):
+                raise InvalidParameterError(
+                    f"per-query weights cover {weights.shape} elements but the "
+                    f"pool has {restriction.n}"
+                )
+            objective = Objective(
+                ModularFunction(weights), objective.metric, objective.tradeoff
+            )
+        p = request.p
+        if p is not None:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+                raise InvalidParameterError(
+                    f"cardinality p must be a non-negative integer, got {p!r}"
+                )
+            p = min(p, restriction.n)
+        result = _dispatch(
+            objective,
+            request.algorithm,
+            p=p,
             matroid=matroid,
-            weights=(
-                None
-                if request.weights is None
-                else np.asarray(request.weights, dtype=float)
-            ),
-            algorithm=request.algorithm,
             local_search_config=request.local_search_config,
-            deadline=request.deadline,
-            tag=request.tag,
+            deadline=deadline,
         )
+        return restriction.lift(result)
 
     def _solve_full_sharded(
         self, request: ServeQuery, deadline: Optional[Deadline]
@@ -426,46 +441,36 @@ class PreparedCorpus:
         requests: Sequence[ServeQuery],
         *,
         deadline: Union[None, float, Deadline] = None,
-        skip: Optional[Any] = None,
+        skip: Optional[Callable[[int], bool]] = None,
     ) -> List[Union[SolverResult, Exception, None]]:
         """Execute one micro-batch window of requests, in request order.
 
-        Pool-scoped requests resolve to cached restriction views and run
-        through :func:`~repro.core.batch.solve_window`; full-universe
-        requests on a sharded corpus run the core-set pipeline.  The failure
-        contract is per-request everywhere: a request whose preparation *or*
-        solve raises occupies its slot with the exception object, a request
-        ``skip`` rejects (the cancellation hook) occupies it with ``None``,
-        and neither disturbs co-batched neighbours.  Shard-map degradation
-        inside a sharded query never raises at all — it surfaces as
-        ``metadata["degraded"]`` on that request's own result.
+        ``skip`` (the cancellation hook) is called with each request's index
+        just before it would run; returning ``True`` leaves its slot
+        ``None``.  Every other request runs under the earlier of its own
+        deadline and the window's ``deadline``: pool-scoped requests on
+        their cached restriction views, full-universe requests on a sharded
+        corpus through the core-set pipeline.  A pool-scoped request whose
+        budget ran out in the queue returns an empty interrupted result with
+        ``metadata["phase"] = "window_queue"``.  The failure contract is per
+        request: a request whose preparation *or* solve raises occupies its
+        slot with the exception object, and co-batched neighbours still run.
+        Shard-map degradation inside a sharded query never raises at all —
+        it surfaces as ``metadata["degraded"]`` on that request's own result.
         """
         shared = Deadline.coerce(deadline)
         results: List[Union[SolverResult, Exception, None]] = [None] * len(requests)
-        window: List[WindowQuery] = []
-        window_index: List[int] = []
         for index, request in enumerate(requests):
             if skip is not None and skip(index):
                 continue
-            if request.pool is None and self._sharded:
-                effective = Deadline.earliest(request.deadline, shared)
-                try:
-                    results[index] = self._solve_full_sharded(request, effective)
-                except Exception as error:
-                    results[index] = error
-                continue
+            effective = Deadline.earliest(request.deadline, shared)
             try:
-                window.append(self._window_query(request))
-                window_index.append(index)
+                if request.pool is None and self._sharded:
+                    results[index] = self._solve_full_sharded(request, effective)
+                else:
+                    results[index] = self._solve_pool(request, effective)
             except Exception as error:
                 results[index] = error
-        if window:
-            skip_window = None
-            if skip is not None:
-                skip_window = lambda j: skip(window_index[j])  # noqa: E731
-            solved = solve_window(window, deadline=shared, skip=skip_window)
-            for j, outcome in enumerate(solved):
-                results[window_index[j]] = outcome
         return results
 
     def solve(
@@ -508,7 +513,6 @@ class PreparedCorpus:
     def _config(self) -> Dict[str, Any]:
         return {
             "materialize": self._materialized,
-            "materialize_pools": self._materialize_pools,
             "shards": self._shards,
             "shard_size": self._shard_size,
             "shard_workers": self._shard_workers,

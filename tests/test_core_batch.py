@@ -205,93 +205,3 @@ class TestSolveMany:
         assert len(results) == len(pools)
         # One O(n) sweep up front, not one per query.
         assert CountingModular.sweeps <= corpus.n
-
-
-class TestSolveWindow:
-    """The pre-restricted batch-window entry the serving tier drives."""
-
-    def _window(self, corpus, pools, p=4):
-        from repro.core.batch import WindowQuery
-        from repro.core.objective import Objective
-        from repro.core.restriction import Restriction
-
-        objective = Objective(corpus.quality, corpus.metric, corpus.tradeoff)
-        return [
-            WindowQuery(restriction=Restriction(objective, pool), p=p)
-            for pool in pools
-        ]
-
-    def test_matches_solve_many(self, corpus, pools):
-        from repro.core.batch import solve_window
-
-        window = self._window(corpus, pools)
-        outcomes = solve_window(window)
-        batched = solve_many(
-            corpus.quality, corpus.metric, pools, tradeoff=corpus.tradeoff, p=4
-        )
-        for outcome, reference in zip(outcomes, batched):
-            assert outcome.selected == reference.selected
-
-    def test_per_query_weights_in_local_order(self, corpus):
-        from repro.core.batch import solve_window
-
-        [query] = self._window(corpus, [[5, 6, 7, 8]], p=2)
-        query.weights = np.array([0.0, 100.0, 100.0, 0.0])
-        [outcome] = solve_window([query])
-        # Local weights boost pool positions 1 and 2 → global elements 6, 7.
-        assert outcome.selected == {6, 7}
-
-    def test_wrong_weight_length_isolated(self, corpus, pools):
-        from repro.core.batch import solve_window
-
-        window = self._window(corpus, pools[:2], p=2)
-        window[0].weights = np.ones(3)  # pool has 10 elements
-        bad, good = solve_window(window)
-        assert isinstance(bad, InvalidParameterError)
-        assert len(good.selected) == 2
-
-    def test_invalid_query_isolated_unless_asked(self, corpus, pools):
-        from repro.core.batch import solve_window
-
-        window = self._window(corpus, pools[:2], p=2)
-        window[1].algorithm = "magic"
-        good, bad = solve_window(window)
-        assert len(good.selected) == 2
-        assert isinstance(bad, InvalidParameterError)
-        with pytest.raises(InvalidParameterError):
-            solve_window(window, isolate=False)
-
-    def test_both_constraints_rejected(self, corpus, pools):
-        from repro.core.batch import solve_window
-
-        window = self._window(corpus, pools[:1], p=2)
-        window[0].matroid = PartitionMatroid([0] * 10, {0: 2})
-        [outcome] = solve_window(window)
-        assert isinstance(outcome, InvalidParameterError)
-
-    def test_skip_slots_are_none(self, corpus, pools):
-        from repro.core.batch import solve_window
-
-        window = self._window(corpus, pools[:3], p=2)
-        outcomes = solve_window(window, skip=lambda i: i != 1)
-        assert outcomes[0] is None and outcomes[2] is None
-        assert len(outcomes[1].selected) == 2
-
-    def test_shared_deadline_beats_longer_per_query(self, corpus, pools):
-        from repro.core.batch import solve_window
-        from repro.utils.deadline import Deadline
-
-        window = self._window(corpus, pools[:2], p=2)
-        window[0].deadline = Deadline(60.0)
-        outcomes = solve_window(window, deadline=Deadline(0.0))
-        for outcome in outcomes:
-            assert outcome.selected == frozenset()
-            assert outcome.metadata["interrupted"] is True
-            assert outcome.metadata["phase"] == "window_queue"
-
-    def test_p_clamped_to_pool_size(self, corpus):
-        from repro.core.batch import solve_window
-
-        [query] = self._window(corpus, [[0, 1, 2]], p=9)
-        [outcome] = solve_window([query])
-        assert outcome.selected == {0, 1, 2}

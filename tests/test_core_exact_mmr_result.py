@@ -113,6 +113,44 @@ class TestSolverResult:
         assert result.size == 2
         assert result.sorted_elements() == (0, 2)
 
+    def test_build_result_sweeps_each_term_once(self, small_objective):
+        from repro.functions.modular import ModularFunction
+        from repro.metrics.base import Metric
+
+        class CountingMetric(Metric):
+            calls = 0
+
+            def __init__(self, matrix):
+                self._backing = np.asarray(matrix, dtype=float)
+
+            @property
+            def n(self):
+                return self._backing.shape[0]
+
+            def distance(self, u, v):
+                CountingMetric.calls += 1
+                return float(self._backing[u, v])
+
+        class CountingQuality(ModularFunction):
+            calls = 0
+
+            def value(self, subset):
+                CountingQuality.calls += 1
+                return super().value(subset)
+
+        objective = Objective(
+            CountingQuality([0.9, 0.1, 0.5, 0.4]),
+            CountingMetric(small_objective.metric.to_matrix()),
+            tradeoff=0.5,
+        )
+        result = build_result(objective, {0, 2, 3}, [0, 2, 3], algorithm="test")
+        assert CountingMetric.calls == 3  # one distance per pair of S
+        assert CountingQuality.calls == 1
+        assert result.objective_value == small_objective.value({0, 2, 3})
+        assert result.objective_value == (
+            result.quality_value + 0.5 * result.dispersion_value
+        )
+
     def test_approximation_factor(self):
         result = SolverResult(
             selected=frozenset({0}),

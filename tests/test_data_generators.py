@@ -140,6 +140,32 @@ class TestPortfolioInstance:
         instance = make_portfolio_instance(10, seed=2)
         assert instance.objective.n == 10
 
+    def test_seed_fixes_instance_across_hash_seeds(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "from repro.data.portfolio import make_portfolio_instance\n"
+            "instance = make_portfolio_instance(30, seed=7)\n"
+            "print(instance.risk_return.tolist())\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.add(completed.stdout)
+        assert len(outputs) == 1
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             make_portfolio_instance(0)

@@ -642,12 +642,12 @@ def test_crash_anywhere_recovers_uncrashed_state(
 # Snapshot versioning and fingerprints (all four snapshot types)
 # ----------------------------------------------------------------------
 class TestSnapshotVersioning:
-    def test_unversioned_objects_pass(self):
+    def test_unversioned_objects_rejected(self):
         class Legacy:
             pass
 
-        legacy = Legacy()
-        assert check_snapshot_version(legacy) is legacy
+        with pytest.raises(SnapshotVersionError, match="format_version None"):
+            check_snapshot_version(Legacy())
 
     def test_invalid_version_rejected(self):
         checkpoint = SolveCheckpoint(kind="greedy", n=4, p=2, format_version=0)

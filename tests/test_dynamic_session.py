@@ -234,6 +234,86 @@ class TestShardedEngine:
         )
 
 
+class TestOverrideTable:
+    """The sharded engine keeps one override table and updates it in place."""
+
+    def _engine_with_overrides(self, ticks=10, per_tick=5):
+        points, weights = _sharded_instance(n=64)
+        engine = ShardedDynamicEngine(points, weights, 4, shard_size=16)
+        rng = np.random.default_rng(7)
+        for _ in range(ticks):
+            builder = EventBatchBuilder()
+            for _ in range(per_tick):
+                # Pairs straddle shards 0 and 1, so no shard pool holds both
+                # endpoints of any override.
+                builder.set_distance(
+                    int(rng.integers(0, 16)),
+                    int(rng.integers(16, 32)),
+                    float(rng.uniform(0.5, 3.0)),
+                )
+            engine.apply_events(builder.build())
+        return engine
+
+    def test_weight_tick_builds_no_overlay(self, monkeypatch):
+        from repro.metrics.overlay import PatchedMetric
+
+        engine = self._engine_with_overrides()
+        assert engine.num_overrides > 30
+        winners = dict(engine.snapshot().winners)
+        target = next(
+            e
+            for e in range(48, 64)
+            if e not in winners[3] and e not in engine.solution
+        )
+        built, overridden = [], []
+        init, set_override = PatchedMetric.__init__, PatchedMetric.set_override
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_set(self, *args, **kwargs):
+            overridden.append(1)
+            set_override(self, *args, **kwargs)
+
+        monkeypatch.setattr(PatchedMetric, "__init__", counting_init)
+        monkeypatch.setattr(PatchedMetric, "set_override", counting_set)
+        outcome = engine.apply_events(
+            EventBatchBuilder().set_weight(target, 0.0).build()
+        )
+        assert outcome.metadata["dirty_shards"] == (3,)
+        assert outcome.metadata["core_resolved"] is False
+        assert built == [] and overridden == []
+
+    def test_delta_applies_to_the_override(self):
+        points, weights = _sharded_instance()
+        engine = ShardedDynamicEngine(points, weights, 5, shard_size=16)
+        engine.apply_events(EventBatchBuilder().set_distance(3, 5, 2.0).build())
+        engine.apply_events(EventBatchBuilder().set_distance(5, 3, 6.0).build())
+        engine.apply_events(EventBatchBuilder().change_distance(5, 3, 1.0).build())
+        assert engine.num_overrides == 1
+        assert engine.distance(5, 3) == engine.distance(3, 5) == 7.0
+        assert engine.snapshot().overrides == ((3, 5, 7.0),)
+
+    def test_insert_rebases_and_delete_drops(self):
+        engine = self._engine_with_overrides(ticks=2)
+        overrides = engine.snapshot().overrides
+        u, v, value = overrides[0]
+        point = np.full(engine.snapshot().points.shape[1], 0.25)
+        outcome = engine.apply_events(
+            EventBatchBuilder().insert(1.0, point=point).build()
+        )
+        [new_id] = outcome.metadata["inserted"]
+        assert engine.num_overrides == len(overrides)
+        assert engine.distance(u, v) == value
+        expected = EuclideanMetric(engine.snapshot().points).distance(u, new_id)
+        assert engine.distance(u, new_id) == expected
+        engine.apply_events(EventBatchBuilder().delete(u).build())
+        kept = [(a, b) for a, b, _ in overrides if u not in (a, b)]
+        assert engine.num_overrides == len(kept)
+        assert all(u not in (a, b) for a, b, _ in engine.snapshot().overrides)
+
+
 class TestShardedFaults:
     def test_crashing_shard_degrades_then_heals(self):
         points, weights = _sharded_instance()

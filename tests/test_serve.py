@@ -282,6 +282,89 @@ class TestCorpusSolve:
         assert result.selected == {0, 1, 2}
 
 
+class TestSolveWindow:
+    """The one window loop, driven directly with a window of requests."""
+
+    def test_matches_solve_many(self, instance, corpus, pools):
+        from repro.core.batch import solve_many
+
+        outcomes = corpus.solve_window([ServeQuery(pool=pool, p=4) for pool in pools])
+        batched = solve_many(
+            instance.quality, instance.metric, pools, tradeoff=instance.tradeoff, p=4
+        )
+        for outcome, reference in zip(outcomes, batched):
+            assert outcome.selected == reference.selected
+            assert outcome.objective_value == reference.objective_value
+
+    def test_per_query_weights_in_local_order(self, corpus):
+        request = ServeQuery(pool=[5, 6, 7, 8], p=2, weights=[0.0, 100.0, 100.0, 0.0])
+        [outcome] = corpus.solve_window([request])
+        # Local weights boost pool positions 1 and 2 → global elements 6, 7.
+        assert outcome.selected == {6, 7}
+
+    def test_wrong_weight_length_isolated(self, corpus, pools):
+        window = [
+            ServeQuery(pool=pools[0], p=2, weights=np.ones(3)),  # pool has 10
+            ServeQuery(pool=pools[1], p=2),
+        ]
+        bad, good = corpus.solve_window(window)
+        assert isinstance(bad, InvalidParameterError)
+        assert len(good.selected) == 2
+
+    def test_invalid_query_isolated(self, corpus, pools):
+        window = [
+            ServeQuery(pool=pools[0], p=2),
+            ServeQuery(pool=pools[1], p=2, algorithm="magic"),
+        ]
+        good, bad = corpus.solve_window(window)
+        assert len(good.selected) == 2
+        assert isinstance(bad, InvalidParameterError)
+
+    def test_both_constraints_rejected(self, corpus, pools):
+        matroid = PartitionMatroid([0] * 40, {0: 2})
+        window = [
+            ServeQuery(pool=pools[0], p=2, matroid=matroid),
+            ServeQuery(pool=pools[1]),
+        ]
+        both, neither = corpus.solve_window(window)
+        assert isinstance(both, InvalidParameterError)
+        assert isinstance(neither, InvalidParameterError)
+
+    def test_skip_slots_are_none(self, corpus, pools):
+        window = [ServeQuery(pool=pool, p=2) for pool in pools[:3]]
+        outcomes = corpus.solve_window(window, skip=lambda i: i != 1)
+        assert outcomes[0] is None and outcomes[2] is None
+        assert len(outcomes[1].selected) == 2
+
+    def test_skip_called_once_per_request_before_it_runs(self, corpus, pools):
+        calls = []
+        window = [ServeQuery(pool=pool, p=2) for pool in pools[:3]]
+        corpus.solve_window(window, skip=lambda i: calls.append(i) or False)
+        assert calls == [0, 1, 2]
+
+    def test_shared_deadline_beats_longer_per_query(self, corpus, pools):
+        window = [
+            ServeQuery(pool=pools[0], p=2, deadline=Deadline(60.0)),
+            ServeQuery(pool=pools[1], p=2),
+        ]
+        for outcome in corpus.solve_window(window, deadline=Deadline(0.0)):
+            assert outcome.selected == frozenset()
+            assert outcome.metadata["interrupted"] is True
+            assert outcome.metadata["phase"] == "window_queue"
+
+    def test_p_clamped_to_pool_size(self, corpus):
+        [outcome] = corpus.solve_window([ServeQuery(pool=[0, 1, 2], p=9)])
+        assert outcome.selected == {0, 1, 2}
+
+    def test_one_restriction_lookup_per_pool_request(self, corpus, pools):
+        window = [ServeQuery(pool=pool, p=2) for pool in pools[:3]]
+        window.append(ServeQuery(pool=pools[0], p=2, algorithm="magic"))
+        corpus.solve_window(window, skip=lambda i: i == 1)
+        info = corpus.cache_info()
+        # Request 1 was skipped before it ran, so its pool was never resolved.
+        assert info["misses"] == 2 and info["hits"] == 1
+
+
 # ----------------------------------------------------------------------
 # PreparedCorpus: persistence and warm start
 # ----------------------------------------------------------------------

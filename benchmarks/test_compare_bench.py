@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 from . import compare_bench
 
@@ -177,3 +178,15 @@ class TestMain:
         args = [str(tmp_path / "fresh.json"), "--baselines", baselines]
         assert compare_bench.main(args) == 0  # -15% passes at 30%
         assert compare_bench.main(args + ["--threshold", "0.10"]) == 1
+
+
+class TestCommittedBaseline:
+    def test_baselines_hold_a_loadable_snapshot(self):
+        """The gate diffs against ``benchmarks/baselines/``; with no snapshot
+        there it passes vacuously, so the directory must hold at least one."""
+        baselines = os.path.join(os.path.dirname(__file__), "baselines")
+        snapshots = compare_bench.load_snapshots(baselines)
+        assert snapshots, f"{baselines} holds no BENCH_*.json snapshot"
+        guards = snapshots[-1]["guards"]
+        assert guards, f"{snapshots[-1]['_path']} carries no guard numbers"
+        assert all(isinstance(value, (int, float)) for value in guards.values())

@@ -20,9 +20,10 @@ below the checkpoint's watermark.
 :func:`recover_session` rebuilds a session from such a directory: newest
 valid snapshot (else the init record), torn-tail repair, tick replay through
 the normal apply path, then re-attachment of the journal.  Because every
-engine code path is deterministic — including the rejection of invalid
-ticks — the recovered state is bit-identical to the crashed process's state
-at its last journaled tick boundary.
+engine code path is deterministic, the recovered state is bit-identical to
+the crashed process's state at its last journaled tick boundary.  Sessions
+journal only ticks that planned cleanly, so a journaled tick that replay
+rejects raises :class:`~repro.exceptions.RecoveryError`.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ __all__ = ["DurableCheckpoint", "DurableStore", "recover_session"]
 WAL_FILENAME = "wal.log"
 SNAPSHOT_DIRNAME = "snapshots"
 
-_TICK_PREFIX = struct.Struct("<Q")  # length of the encoded batch
+_TICK_PREFIX = struct.Struct("<Qq")  # encoded batch length, updates (-1: None)
 
 #: Sentinel distinguishing "caller did not say" from an explicit ``None``
 #: when recovery merges overrides with the journaled configuration.
@@ -216,26 +217,26 @@ class DurableStore:
         self._lineage = lineage
         self._ticks_at_compact = ticks_at_compact
 
-    def journal(self, batch: EventBatch, kwargs: Dict[str, Any]) -> None:
+    def journal(self, batch: EventBatch, updates: Optional[int] = None) -> None:
         """Append one tick record (call *before* applying the batch)."""
         if self._wal is None:
             raise RecoveryError("the durable store is closed")
         encoded = encode_event_batch(batch)
-        body = _TICK_PREFIX.pack(len(encoded)) + encoded
-        if kwargs:
-            body += pickle.dumps(kwargs, protocol=pickle.HIGHEST_PROTOCOL)
+        prefix = _TICK_PREFIX.pack(len(encoded), -1 if updates is None else updates)
         self._seq += 1
-        self._wal.append(RECORD_TICK, self._seq, body)
+        self._wal.append(RECORD_TICK, self._seq, prefix + encoded)
 
     @staticmethod
-    def decode_tick(body: bytes) -> Tuple[EventBatch, Dict[str, Any]]:
-        """Inverse of :meth:`journal`'s record body encoding."""
-        (length,) = _TICK_PREFIX.unpack_from(body, 0)
-        start = _TICK_PREFIX.size
-        batch = decode_event_batch(body[start : start + length])
-        trailer = body[start + length :]
-        kwargs = pickle.loads(trailer) if trailer else {}
-        return batch, kwargs
+    def decode_tick(body: bytes) -> Tuple[EventBatch, Optional[int]]:
+        """Inverse of :meth:`journal`'s record body: ``(batch, updates)``."""
+        size = _TICK_PREFIX.size
+        # A body shorter than the prefix pads to an impossible batch length.
+        length, updates = _TICK_PREFIX.unpack_from(body.ljust(size, b"\xff"))
+        if len(body) != size + length or updates < -1:
+            raise RecoveryError(
+                f"a tick record of {len(body)} bytes disagrees with its prefix"
+            )
+        return decode_event_batch(body[size:]), None if updates == -1 else updates
 
     # ------------------------------------------------------------------
     # Compaction
@@ -389,14 +390,16 @@ def recover_session(
     for record in records:
         if record.kind != RECORD_TICK or record.seq <= base_seq:
             continue
-        batch, kwargs = DurableStore.decode_tick(record.body)
+        batch, updates = DurableStore.decode_tick(record.body)
         try:
-            session.apply_events(batch, **kwargs)
-        except (PerturbationError, InvalidParameterError):
-            # The live process journaled the tick before discovering it was
-            # invalid; the rejection is deterministic, so the replayed state
-            # matches the live one exactly.
-            pass
+            session.apply_events(batch, updates=updates)
+        except (PerturbationError, InvalidParameterError) as error:
+            # A live session journals only ticks its engine accepted, and
+            # replay reaches the same state, so no live session wrote this.
+            raise RecoveryError(
+                f"journal record {record.seq} in {directory} holds a tick the "
+                f"engine rejects: {error}"
+            ) from error
         last_seq = max(last_seq, record.seq)
 
     store = DurableStore(

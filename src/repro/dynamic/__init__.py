@@ -18,6 +18,8 @@ Package contents:
 * :mod:`~repro.dynamic.events` — :class:`EventBatch` /
   :class:`EventBatchBuilder`, the typed-array form of one tick of a batched
   event stream (weight/distance changes, inserts, deletes).
+* :mod:`~repro.dynamic.plan` — :func:`~repro.dynamic.plan.plan_tick`, which
+  validates a tick and resolves its final values before either engine writes.
 * :mod:`~repro.dynamic.session` — :class:`DynamicSession`, the facade over
   the dense engine and the sharded tier (:class:`ShardedDynamicEngine`) with
   periodic checkpoints and full re-solves.

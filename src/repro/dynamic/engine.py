@@ -12,8 +12,10 @@ sequential one exactly on single-event ticks.
 
 Per tick the engine
 
-1. applies all weight/distance events in a few vectorized passes (with
-   rollback on invalid events),
+1. plans the tick (:func:`~repro.dynamic.plan.plan_tick`): every rejection
+   is checked and the final weights and distances resolved before anything
+   is written, so an invalid tick leaves the engine untouched; then writes
+   the planned values in a few vectorized passes,
 2. hosts insertions and deletions on the growable storage, refilling the
    solution greedily when a member is deleted,
 3. computes the Theorem 4 multi-update schedule **once** from the
@@ -34,16 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Deque,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Deque, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +52,7 @@ from repro.core.greedy import greedy_diversify
 from repro.core.objective import Objective
 from repro.dynamic.events import EventBatch
 from repro.dynamic.perturbation import Perturbation
+from repro.dynamic.plan import TickPlan, TickView, committable, plan_tick
 from repro.dynamic.update_rules import (
     UpdateOutcome,
     required_updates_for_weight_decrease,
@@ -66,7 +60,6 @@ from repro.dynamic.update_rules import (
 from repro.exceptions import InvalidParameterError, PerturbationError
 from repro.functions.modular import ModularFunction
 from repro.metrics.matrix import DistanceMatrix, GrowableDistanceMatrix
-from repro.metrics.validation import pair_triangle_violations
 from repro.obs.instrument import TICK_CERTIFICATES, maybe_span
 
 #: Default bound on the diagnostic (perturbation, outcome) history.  Long
@@ -78,10 +71,6 @@ DEFAULT_HISTORY_LIMIT = 1024
 #: no-swap certificate to fire; anything closer falls back to the exact
 #: full scan, so certificate floating-point noise can never change a result.
 _CERTIFICATE_TOLERANCE = 1e-9
-
-#: Negative weights/distances within this tolerance are treated as rounding
-#: noise and clamped to zero (matching the sequential engine).
-_NEGATIVITY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -164,6 +153,10 @@ class DynamicDiversifier:
     #: paths — and snapshots written before the attribute existed — inherit
     #: ``None`` without pickling concerns.
     trace = None
+
+    #: The latest plan, the only one :meth:`apply_events` accepts
+    #: (:func:`~repro.dynamic.plan.committable`).
+    _latest_plan = None
 
     def __init__(
         self,
@@ -332,21 +325,6 @@ class DynamicDiversifier:
             mask[np.fromiter(self._solution, dtype=int)] = True
         return mask
 
-    def _check_live(self, elements: np.ndarray, what: str) -> None:
-        idx = np.asarray(elements, dtype=int)
-        if idx.size == 0:
-            return
-        slots = self._distances.n
-        if np.any((idx < 0) | (idx >= slots)) or not np.all(
-            self._distances.active_mask[idx]
-        ):
-            raise PerturbationError(f"{what} refers to an unknown or retired element")
-
-    @staticmethod
-    def _run_undo(undo: List[Callable[[], None]]) -> None:
-        for op in reversed(undo):
-            op()
-
     def _set_cache(self, inside: np.ndarray, colmax: np.ndarray) -> None:
         if not self._use_certificate:
             return
@@ -357,118 +335,29 @@ class DynamicDiversifier:
     # ------------------------------------------------------------------
     # The batched tick
     # ------------------------------------------------------------------
-    def _validate_batch(self, batch: EventBatch) -> None:
-        """All statically checkable rejections, before any mutation."""
-        slots = self._distances.n
-        self._check_live(batch.weight_set_elements, "weight event")
-        self._check_live(batch.weight_delta_elements, "weight event")
-        self._check_live(batch.distance_set_pairs.ravel(), "distance event")
-        self._check_live(batch.distance_delta_pairs.ravel(), "distance event")
-        if batch.num_inserts:
-            if batch.insert_points is not None:
-                raise PerturbationError(
-                    "this engine hosts explicit distance rows; point inserts "
-                    "belong to the sharded dynamic session"
-                )
-            if len(batch.insert_distances) != batch.num_inserts:
-                raise PerturbationError(
-                    "every insert into the dense engine needs a distance row"
-                )
-            for i, row in enumerate(batch.insert_distances):
-                if row.shape[0] != slots + i:
-                    raise PerturbationError(
-                        f"insert {i} needs a distance row of length {slots + i} "
-                        f"(tick-start slots plus earlier inserts), got {row.shape[0]}"
-                    )
-                if not np.all(np.isfinite(row)):
-                    raise PerturbationError("insert distances must be finite")
-                if np.any(row < 0):
-                    raise PerturbationError("insert distances must be non-negative")
-        deletes = batch.delete_elements
-        if deletes.size:
-            if np.unique(deletes).size != deletes.size:
-                raise PerturbationError("duplicate delete of the same element")
-            self._check_live(deletes, "delete event")
-            remaining = self.active_count + batch.num_inserts - deletes.size
-            if remaining < self._p:
-                raise PerturbationError(
-                    f"deletions would leave {remaining} live elements, "
-                    f"fewer than p={self._p}"
-                )
-
-    def _apply_weight_events(
-        self, batch: EventBatch, undo: List[Callable[[], None]]
-    ) -> None:
-        idx_all = np.concatenate(
-            [batch.weight_set_elements, batch.weight_delta_elements]
+    def plan(self, batch: EventBatch, *, updates: Optional[int] = None) -> TickPlan:
+        """Validate ``batch`` and resolve its final values, writing nothing
+        (:func:`~repro.dynamic.plan.plan_tick`); ``updates`` as for
+        :meth:`apply_events`."""
+        view = TickView(
+            self._weights.weights_view(),
+            self._distances.active_mask,
+            self._distances,
+            self._p,
+            validate_metric=self._validate_metric,
         )
-        if idx_all.size == 0:
+        self._latest_plan = plan_tick(batch, view, updates=updates)
+        return self._latest_plan
+
+    def _commit_distances(self, plan: TickPlan) -> None:
+        rows, cols, values = plan.pair_rows, plan.pair_cols, plan.pair_values
+        if rows.size == 0:
             return
-        store = self._weight_store
-        before = store[idx_all].copy()
-
-        def rollback() -> None:
-            store[idx_all] = before
-
-        store[batch.weight_set_elements] = batch.weight_set_values
-        np.add.at(store, batch.weight_delta_elements, batch.weight_deltas)
-        touched = np.unique(idx_all)
-        finals = store[touched]
-        if np.any(finals < -_NEGATIVITY_TOLERANCE) or not np.all(np.isfinite(finals)):
-            rollback()
-            self._run_undo(undo)
-            raise PerturbationError(
-                "a weight decrease exceeds the current weight of its element"
-            )
-        store[touched] = np.maximum(finals, 0.0)
-        undo.append(rollback)
-
-    def _apply_distance_events(
-        self, batch: EventBatch, undo: List[Callable[[], None]]
-    ) -> None:
-        pairs = np.concatenate(
-            [batch.distance_set_pairs, batch.distance_delta_pairs], axis=0
-        )
-        if pairs.shape[0] == 0:
-            return
-        slots = self._distances.n
-        keys = pairs[:, 0] * slots + pairs[:, 1]
-        ukeys, inverse = np.unique(keys, return_inverse=True)
-        urows = (ukeys // slots).astype(int)
-        ucols = (ukeys % slots).astype(int)
-        before = self._distances.array[urows, ucols].copy()
-        finals = before.copy()
-        num_sets = batch.distance_set_pairs.shape[0]
-        finals[inverse[:num_sets]] = batch.distance_set_values
-        np.add.at(finals, inverse[num_sets:], batch.distance_deltas)
-        if np.any(finals < -_NEGATIVITY_TOLERANCE) or not np.all(np.isfinite(finals)):
-            self._run_undo(undo)
-            raise PerturbationError(
-                "a distance decrease would make the distance negative"
-            )
-        finals = np.maximum(finals, 0.0)
-        deltas = finals - before
+        deltas = values - self._distances.array[rows, cols]
         member_mask = self._member_mask()
-        self._distances.set_distances(urows, ucols, finals)
-        np.add.at(self._margins, urows, deltas * member_mask[ucols])
-        np.add.at(self._margins, ucols, deltas * member_mask[urows])
-
-        def rollback() -> None:
-            self._distances.set_distances(urows, ucols, before)
-            np.add.at(self._margins, urows, -deltas * member_mask[ucols])
-            np.add.at(self._margins, ucols, -deltas * member_mask[urows])
-
-        undo.append(rollback)
-        if self._validate_metric:
-            live = self.active_elements()
-            for r, c in zip(urows.tolist(), ucols.tolist()):
-                if pair_triangle_violations(
-                    self._distances, r, c, elements=live, max_violations=1
-                ):
-                    self._run_undo(undo)
-                    raise PerturbationError(
-                        "distance perturbation violates the triangle inequality"
-                    )
+        self._distances.set_distances(rows, cols, values)
+        np.add.at(self._margins, rows, deltas * member_mask[cols])
+        np.add.at(self._margins, cols, deltas * member_mask[rows])
 
     def _apply_inserts(self, batch: EventBatch, members: np.ndarray) -> List[int]:
         inserted: List[int] = []
@@ -526,7 +415,7 @@ class DynamicDiversifier:
                 self._margins,
                 candidates,
             )
-            if pick is None:  # pragma: no cover - excluded by _validate_batch
+            if pick is None:  # pragma: no cover - excluded by plan_tick
                 raise PerturbationError("no live element left to refill the solution")
             element, marginal = pick
             self._solution.add(element)
@@ -536,17 +425,13 @@ class DynamicDiversifier:
 
     def _planned_updates(
         self,
-        batch: EventBatch,
         updates: Optional[int],
-        auto_schedule: bool,
         value_before: float,
         members0: np.ndarray,
         w_members0: np.ndarray,
     ) -> int:
         if updates is not None:
-            return int(updates)
-        if not auto_schedule:
-            return 1
+            return updates
         # Theorem 4, computed once per tick from the *aggregate* weight
         # decrease suffered by tick-start solution members (deleted members
         # are excluded: deletion is handled by the forced refill, not the
@@ -565,13 +450,7 @@ class DynamicDiversifier:
         return 1
 
     def _dirty_incoming(self, batch: EventBatch, inserted: List[int]) -> np.ndarray:
-        parts = [np.asarray(batch.touched_elements(), dtype=int)]
-        if inserted:
-            parts.append(np.asarray(inserted, dtype=int))
-        dirty = np.unique(np.concatenate(parts)) if parts else np.zeros(0, dtype=int)
-        if dirty.size == 0:
-            return dirty
-        dirty = dirty[(dirty >= 0) & (dirty < self._distances.n)]
+        dirty = np.union1d(batch.touched_elements(), np.asarray(inserted, dtype=int))
         keep = self._distances.active_mask[dirty] & ~self._member_mask()[dirty]
         return dirty[keep]
 
@@ -663,29 +542,23 @@ class DynamicDiversifier:
         return swaps, certified
 
     def _tick(
-        self,
-        batch: EventBatch,
-        *,
-        updates: Optional[int],
-        auto_schedule: bool,
+        self, plan: TickPlan, change: Union[Perturbation, EventBatch]
     ) -> UpdateOutcome:
-        if updates is not None and updates < 0:
-            raise InvalidParameterError("updates must be non-negative")
-        self._validate_batch(batch)
+        """Commit a validated plan (writes only), repair, record ``change``."""
+        batch = plan.batch
         value_before = self.objective.value(self._solution)
         members0 = np.fromiter(sorted(self._solution), dtype=int)
         w_members0 = self._weight_store[members0].copy()
         cert_margins0 = self._margins[members0].copy() if self._cache_valid else None
 
-        undo: List[Callable[[], None]] = []
-        self._apply_weight_events(batch, undo)
-        self._apply_distance_events(batch, undo)
+        self._weight_store[plan.weight_ids] = plan.weight_values
+        self._commit_distances(plan)
         inserted = self._apply_inserts(batch, members0)
         deleted_members = self._apply_deletes(batch)
         refills = self._refill()
 
         planned = self._planned_updates(
-            batch, updates, auto_schedule, value_before, members0, w_members0
+            plan.updates, value_before, members0, w_members0
         )
         dirty = self._dirty_incoming(batch, inserted)
         with maybe_span(self.trace, "repair", planned=planned) as repair_span:
@@ -709,49 +582,44 @@ class DynamicDiversifier:
             metadata["deleted_members"] = tuple(deleted_members)
         if refills:
             metadata["refills"] = tuple(refills)
-        return UpdateOutcome(
+        outcome = UpdateOutcome(
             solution=frozenset(self._solution),
             swaps=tuple(swaps),
             objective_value=self.objective.value(self._solution),
             metadata=metadata,
         )
+        self._history.append((change, outcome))
+        self._applied += batch.num_events
+        return outcome
 
     # ------------------------------------------------------------------
     # Public application interfaces
     # ------------------------------------------------------------------
     def apply_events(
         self,
-        batch: EventBatch,
+        tick: Union[EventBatch, TickPlan],
         *,
         updates: Optional[int] = None,
-        auto_schedule: bool = True,
     ) -> UpdateOutcome:
         """Apply one tick of batched events, then repair the solution.
 
         Parameters
         ----------
-        batch:
+        tick:
             The tick's events (see :class:`~repro.dynamic.events.EventBatch`
-            for the within-tick resolution order).
+            for the within-tick resolution order), planned first, or the
+            latest :class:`~repro.dynamic.plan.TickPlan` of :meth:`plan`.
         updates:
-            Explicit number of single-swap updates to allow.  ``None`` means:
-            one update, except when the tick's aggregate weight decrease on
-            solution members is large and ``auto_schedule`` holds, in which
-            case Theorem 4's multi-update count is used.
-        auto_schedule:
-            Whether to apply Theorem 4's schedule automatically.
+            Explicit number of single-swap updates to allow (a plan carries
+            its own).  ``None`` means one update, or Theorem 4's multi-update
+            count when the tick's aggregate weight decrease on solution
+            members is large.
         """
-        outcome = self._tick(batch, updates=updates, auto_schedule=auto_schedule)
-        self._history.append((batch, outcome))
-        self._applied += batch.num_events
-        return outcome
+        plan = committable(self, tick, updates)
+        return self._tick(plan, plan.batch)
 
     def apply(
-        self,
-        perturbation: Perturbation,
-        *,
-        updates: Optional[int] = None,
-        auto_schedule: bool = True,
+        self, perturbation: Perturbation, *, updates: Optional[int] = None
     ) -> UpdateOutcome:
         """Apply a single Section 6 perturbation (a one-event tick).
 
@@ -761,10 +629,7 @@ class DynamicDiversifier:
         vectorized full scan the legacy rule runs.
         """
         batch = EventBatch.from_perturbations([perturbation])
-        outcome = self._tick(batch, updates=updates, auto_schedule=auto_schedule)
-        self._history.append((perturbation, outcome))
-        self._applied += 1
-        return outcome
+        return self._tick(committable(self, batch, updates), perturbation)
 
     # ------------------------------------------------------------------
     # Diagnostics

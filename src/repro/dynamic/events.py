@@ -24,9 +24,10 @@ only deltas, so replaying a perturbation stream one event per tick through
 the batched path reproduces the sequential engine exactly.
 
 Builders validate what they can locally (finiteness, non-negative absolute
-values, ``u ≠ v``); state-dependent checks — a delta driving a weight or
-distance negative, unknown element ids — belong to the engine, which sees
-the current instance.
+values, ``u ≠ v``).  Every check of a whole batch, the state-dependent ones
+included (a delta driving a weight or distance negative, unknown element
+ids), is made by :func:`~repro.dynamic.plan.plan_tick` before an engine
+writes anything; it also rejects malformed batches built without a builder.
 """
 
 from __future__ import annotations

@@ -66,8 +66,9 @@ from repro.dynamic.engine import (
 )
 from repro.dynamic.events import EventBatch
 from repro.dynamic.perturbation import Perturbation
+from repro.dynamic.plan import TickPlan, TickView, committable, plan_tick
 from repro.dynamic.update_rules import UpdateOutcome
-from repro.exceptions import InvalidParameterError, PerturbationError
+from repro.exceptions import InvalidParameterError
 from repro.functions.modular import ModularFunction
 from repro.metrics.base import Metric
 from repro.metrics.euclidean import EuclideanMetric
@@ -177,6 +178,10 @@ class ShardedDynamicEngine:
     #: Optional :class:`~repro.obs.trace.Trace` receiving repair spans.  A
     #: class attribute so ``__new__``-based restore paths inherit ``None``.
     trace = None
+
+    #: The latest plan, the only one :meth:`apply_events` accepts
+    #: (:func:`~repro.dynamic.plan.committable`).
+    _latest_plan = None
 
     def __init__(
         self,
@@ -334,71 +339,49 @@ class ShardedDynamicEngine:
         active[:capacity] = self._active
         self._active = active
 
-    def _check_live(self, elements: np.ndarray, what: str) -> None:
-        idx = np.asarray(elements, dtype=int)
-        if idx.size == 0:
-            return
-        if np.any((idx < 0) | (idx >= self._slots)) or not np.all(
-            self._active[: self._slots][idx]
-        ):
-            raise PerturbationError(f"{what} refers to an unknown or retired element")
-
     # ------------------------------------------------------------------
     # Event application
     # ------------------------------------------------------------------
-    def apply_events(self, batch: EventBatch) -> UpdateOutcome:
-        """Apply one tick of events, repair dirty shards, return the outcome."""
-        self._validate_batch(batch)
-        dirty: Set[int] = set()
-        touched_members = False
-
-        # Weights (sets, then accumulated deltas; validated, then clamped).
-        w_idx = np.concatenate(
-            [batch.weight_set_elements, batch.weight_delta_elements]
+    def plan(self, batch: EventBatch, *, updates: Optional[int] = None) -> TickPlan:
+        """Validate ``batch`` and resolve its final values, writing nothing
+        (:func:`~repro.dynamic.plan.plan_tick`); ``updates`` must be None."""
+        if updates is not None:
+            raise InvalidParameterError(
+                "updates budgets the dense engine's swaps; the sharded engine "
+                "takes none"
+            )
+        view = TickView(
+            self._weights[: self._slots],
+            self._active[: self._slots],
+            self.metric(),
+            self._p,
+            point_dim=self._points.shape[1],
         )
-        if w_idx.size:
-            before = self._weights[w_idx].copy()
-            self._weights[batch.weight_set_elements] = batch.weight_set_values
-            np.add.at(self._weights, batch.weight_delta_elements, batch.weight_deltas)
-            touched = np.unique(w_idx)
-            finals = self._weights[touched]
-            if np.any(finals < -1e-12) or not np.all(np.isfinite(finals)):
-                self._weights[w_idx] = before
-                raise PerturbationError(
-                    "a weight decrease exceeds the current weight of its element"
-                )
-            self._weights[touched] = np.maximum(finals, 0.0)
-            for element in touched.tolist():
-                dirty.add(self._shard_of(element))
-                if element in self._solution:
-                    touched_members = True
+        self._latest_plan = plan_tick(batch, view)
+        return self._latest_plan
 
-        # Distances become sparse overrides on top of the point metric.
-        pair_events: Dict[Tuple[int, int], float] = {}
-        for (u, v), value in zip(
-            batch.distance_set_pairs.tolist(), batch.distance_set_values.tolist()
+    def apply_events(
+        self,
+        tick: Union[EventBatch, TickPlan],
+        *,
+        updates: Optional[int] = None,
+    ) -> UpdateOutcome:
+        """Apply one tick (a batch, planned first, or the latest plan of
+        :meth:`plan`), repair dirty shards, return the outcome."""
+        plan = committable(self, tick, updates)
+        batch = plan.batch
+
+        # Weights and distances (sparse overrides on the point metric).
+        self._weights[plan.weight_ids] = plan.weight_values
+        for u, v, value in zip(
+            plan.pair_rows.tolist(),
+            plan.pair_cols.tolist(),
+            plan.pair_values.tolist(),
         ):
-            pair_events[(int(u), int(v))] = float(value)  # last set wins
-        for (u, v), delta in zip(
-            batch.distance_delta_pairs.tolist(), batch.distance_deltas.tolist()
-        ):
-            key = (int(u), int(v))
-            current = pair_events.get(key)
-            if current is None:
-                current = self._overlay.distance(*key)
-            pair_events[key] = current + float(delta)
-        if pair_events:
-            for key, value in pair_events.items():
-                if value < -1e-12:
-                    raise PerturbationError(
-                        "a distance decrease would make the distance negative"
-                    )
-            for (u, v), value in pair_events.items():
-                self._overlay.set_override(u, v, max(float(value), 0.0))
-                dirty.add(self._shard_of(u))
-                dirty.add(self._shard_of(v))
-                if u in self._solution or v in self._solution:
-                    touched_members = True
+            self._overlay.set_override(u, v, value)
+        touched = np.concatenate([plan.weight_ids, plan.pair_rows, plan.pair_cols])
+        dirty: Set[int] = set((touched // self._shard_size).tolist())
+        touched_members = not self._solution.isdisjoint(touched.tolist())
 
         # Inserts: new rows in point space, reviving retired slots first.
         inserted: List[int] = []
@@ -458,36 +441,6 @@ class ShardedDynamicEngine:
             objective_value=self.solution_value,
             metadata=metadata,
         )
-
-    def _validate_batch(self, batch: EventBatch) -> None:
-        self._check_live(batch.weight_set_elements, "weight event")
-        self._check_live(batch.weight_delta_elements, "weight event")
-        self._check_live(batch.distance_set_pairs.ravel(), "distance event")
-        self._check_live(batch.distance_delta_pairs.ravel(), "distance event")
-        if batch.num_inserts:
-            if batch.insert_points is None:
-                raise PerturbationError(
-                    "the sharded engine hosts point inserts; explicit distance "
-                    "rows belong to the dense engine"
-                )
-            if batch.insert_points.shape[1] != self._points.shape[1]:
-                raise PerturbationError(
-                    f"insert points must have dimension {self._points.shape[1]}, "
-                    f"got {batch.insert_points.shape[1]}"
-                )
-            if not np.all(np.isfinite(batch.insert_points)):
-                raise PerturbationError("insert points must be finite")
-        deletes = batch.delete_elements
-        if deletes.size:
-            if np.unique(deletes).size != deletes.size:
-                raise PerturbationError("duplicate delete of the same element")
-            self._check_live(deletes, "delete event")
-            remaining = self.active_count + batch.num_inserts - deletes.size
-            if remaining < self._p:
-                raise PerturbationError(
-                    f"deletions would leave {remaining} live elements, "
-                    f"fewer than p={self._p}"
-                )
 
     # ------------------------------------------------------------------
     # Repair
@@ -889,15 +842,17 @@ class DynamicSession:
     # ------------------------------------------------------------------
     # Event application
     # ------------------------------------------------------------------
-    def apply_events(self, batch: EventBatch, **kwargs) -> UpdateOutcome:
+    def apply_events(
+        self, batch: EventBatch, *, updates: Optional[int] = None
+    ) -> UpdateOutcome:
         """Apply one tick through the backend, then run the session cadence:
         periodic full re-solve (sharded) and periodic checkpoints.
 
-        With durability enabled the tick is journaled *before* any mutation
-        (journal-before-apply): a crash between journal and apply replays
-        the tick on recovery, reaching the same state the surviving process
-        would have reached — invalid ticks included, since the backends
-        reject those deterministically both live and on replay.
+        The backend plans the tick first, so a rejected tick raises before
+        anything is journaled or written.  With durability enabled the plan
+        is journaled *before* the engine commits it (journal-before-apply),
+        so a crash in between replays the tick on recovery.  ``updates`` is
+        the dense engine's swap budget; the sharded backend rejects it.
         """
         trace = self._trace
         metered = TICKS.enabled()
@@ -910,20 +865,18 @@ class DynamicSession:
             num_events=batch.num_events,
         )
         try:
+            plan = self.engine.plan(batch, updates=updates)
             if self._durable is not None:
                 journal_started = time.perf_counter()
                 with maybe_span(trace, "wal.journal"):
-                    self._durable.journal(batch, kwargs)
+                    self._durable.journal(batch, plan.updates)
                 if metered:
                     TICK_SECONDS.observe(
                         time.perf_counter() - journal_started, phase="journal"
                     )
             apply_started = time.perf_counter()
             with maybe_span(trace, "apply"):
-                if self._dense is not None:
-                    outcome = self._dense.apply_events(batch, **kwargs)
-                else:
-                    outcome = self._sharded.apply_events(batch, **kwargs)
+                outcome = self.engine.apply_events(plan)
             if metered:
                 TICK_SECONDS.observe(
                     time.perf_counter() - apply_started, phase="apply"
@@ -956,56 +909,12 @@ class DynamicSession:
             )
         return outcome
 
-    def apply(self, perturbation: Perturbation, **kwargs) -> UpdateOutcome:
-        """Apply a single Section 6 perturbation (dense semantics when dense;
-        routed through a one-event batch on the sharded backend)."""
-        if self._dense is not None:
-            trace = self._trace
-            metered = TICKS.enabled()
-            started = time.perf_counter()
-            tick_span = maybe_start_span(
-                trace, "tick", tick=self._ticks, backend=self.mode, num_events=1
-            )
-            try:
-                if self._durable is not None:
-                    journal_started = time.perf_counter()
-                    with maybe_span(trace, "wal.journal"):
-                        self._durable.journal(
-                            EventBatch.from_perturbations([perturbation]), kwargs
-                        )
-                    if metered:
-                        TICK_SECONDS.observe(
-                            time.perf_counter() - journal_started, phase="journal"
-                        )
-                apply_started = time.perf_counter()
-                with maybe_span(trace, "apply"):
-                    outcome = self._dense.apply(perturbation, **kwargs)
-                if metered:
-                    TICK_SECONDS.observe(
-                        time.perf_counter() - apply_started, phase="apply"
-                    )
-                self._ticks += 1
-                if (
-                    self._on_checkpoint is not None
-                    and self._ticks % self._checkpoint_every == 0
-                ):
-                    with maybe_span(trace, "checkpoint"):
-                        self._on_checkpoint(self.snapshot())
-                if self._durable is not None:
-                    with maybe_span(trace, "wal.compact"):
-                        self._durable.maybe_compact(self)
-                _annotate_tick(tick_span, outcome)
-            finally:
-                tick_span.finish()
-            if metered:
-                TICKS.inc(backend=self.mode)
-            if trace is not None:
-                outcome.metadata["timings"] = phase_timings(
-                    trace, tick_span.id, total=time.perf_counter() - started
-                )
-            return outcome
+    def apply(
+        self, perturbation: Perturbation, *, updates: Optional[int] = None
+    ) -> UpdateOutcome:
+        """Apply a single Section 6 perturbation as a one-event tick."""
         return self.apply_events(
-            EventBatch.from_perturbations([perturbation]), **kwargs
+            EventBatch.from_perturbations([perturbation]), updates=updates
         )
 
     def resolve_full(self, **solve_kwargs):

@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dynamic.events import EventBatch
 from repro.dynamic.session import DynamicSession
 from repro.dynamic.perturbation import (
     DistanceDecrease,
@@ -132,7 +131,6 @@ def run_dynamic_simulation(
     track_ratio: bool = True,
     distance_low: float = 1.0,
     distance_high: float = 2.0,
-    batched: bool = False,
     checkpoint_every: Optional[int] = None,
     on_checkpoint: Optional[Callable[[object], None]] = None,
 ) -> SimulationRecord:
@@ -145,11 +143,6 @@ def run_dynamic_simulation(
     exponential in ``p`` — keep ``n`` and ``p`` small (the paper uses the
     synthetic N=50-style instances).  ``checkpoint_every``/``on_checkpoint``
     forward to the session: pickle-safe engine snapshots every so many steps.
-    ``batched=True`` routes each perturbation through the
-    :class:`~repro.dynamic.events.EventBatch` tick path instead of
-    :meth:`~repro.dynamic.session.DynamicSession.apply` — the results are
-    identical (the property tests assert it); the flag exists to exercise
-    the batched path under the experiment's workload.
     """
     if steps < 0:
         raise InvalidParameterError("steps must be non-negative")
@@ -176,12 +169,7 @@ def run_dynamic_simulation(
             if track_ratio:
                 ratios.append(engine.approximation_ratio())
             continue
-        if batched:
-            engine.apply_events(
-                EventBatch.from_perturbations([perturbation]), updates=1
-            )
-        else:
-            engine.apply(perturbation, updates=1)
+        engine.apply(perturbation, updates=1)
         if track_ratio:
             ratios.append(engine.approximation_ratio())
     worst = max(ratios) if ratios else 1.0
@@ -203,7 +191,6 @@ def worst_ratio_curve(
     steps: int = 20,
     repeats: int = 100,
     seed: SeedLike = None,
-    batched: bool = False,
 ) -> Dict[float, float]:
     """Reproduce one curve of Figure 1: worst ratio over repeats, per λ.
 
@@ -225,7 +212,6 @@ def worst_ratio_curve(
                 environment,
                 steps=steps,
                 seed=run_rng,
-                batched=batched,
             )
             worst = max(worst, record.worst_ratio)
         curve[float(tradeoff)] = worst

@@ -65,7 +65,6 @@ def figure1(
         Environment.MPERTURBATION,
     ),
     seed: SeedLike = 2019,
-    batched: bool = False,
 ) -> Figure1Result:
     """Reproduce Figure 1's worst-approximation-ratio curves.
 
@@ -73,9 +72,7 @@ def figure1(
     defaults use a smaller universe than Section 7.1's N = 50 to keep the
     per-step optimum affordable; the qualitative shape (ratio well below 3,
     decreasing in λ) is unchanged.  Pass ``n=50`` to match the paper exactly
-    at a higher cost.  ``batched=True`` drives the same trajectories through
-    the event-batch tick path of :class:`~repro.dynamic.session.DynamicSession`
-    (identical curves; exercises the batched engine under Figure 1's load).
+    at a higher cost.
     """
     instance = make_synthetic_instance(n, seed=derive_seed(seed, 0))
     result = Figure1Result(tradeoffs=tuple(tradeoffs))
@@ -89,7 +86,6 @@ def figure1(
             steps=steps,
             repeats=repeats,
             seed=derive_seed(seed, index + 1),
-            batched=batched,
         )
         result.curves[environment.value] = curve
     return result

@@ -27,7 +27,7 @@ from repro.core.checkpoint import (
     check_snapshot_version,
     universe_fingerprint,
 )
-from repro.durability.recovery import DurableCheckpoint
+from repro.durability.recovery import DurableCheckpoint, DurableStore
 from repro.durability.snapshot import SnapshotStore, read_framed, write_framed
 from repro.durability.wal import (
     RECORD_INIT,
@@ -46,6 +46,7 @@ from repro.exceptions import (
     DurabilityError,
     DurabilityWarning,
     InvalidParameterError,
+    PerturbationError,
     RecoveryError,
     SnapshotVersionError,
     WalCorruptionError,
@@ -298,6 +299,34 @@ class TestEventBatchCodec:
             decode_event_batch(data)
 
 
+class TestTickRecord:
+    @pytest.mark.parametrize("updates", [None, 0, 3])
+    def test_updates_round_trip(self, tmp_path, updates):
+        store = DurableStore(str(tmp_path / "d"), fsync="off")
+        weights, distances = _dense_instance()
+        store.start_fresh(DynamicSession(weights, 4, distances=distances))
+        batch = EventBatchBuilder().change_weight(3, 0.5).build()
+        store.journal(batch, updates)
+        store.close()
+        records, _ = read_wal(store.wal_path)
+        assert [r.kind for r in records] == [RECORD_INIT, RECORD_TICK]
+        decoded, decoded_updates = DurableStore.decode_tick(records[1].body)
+        assert decoded_updates == updates
+        assert np.array_equal(decoded.weight_delta_elements, [3])
+        assert np.array_equal(decoded.weight_deltas, [0.5])
+
+    def test_body_length_must_match_prefix(self, tmp_path):
+        store = DurableStore(str(tmp_path / "d"), fsync="off")
+        weights, distances = _dense_instance()
+        store.start_fresh(DynamicSession(weights, 4, distances=distances))
+        store.journal(EventBatchBuilder().change_weight(3, 0.5).build(), 2)
+        store.close()
+        body = read_wal(store.wal_path)[0][1].body
+        for damaged in (body + b"\x00", body[:-1], body[:10]):
+            with pytest.raises(RecoveryError):
+                DurableStore.decode_tick(damaged)
+
+
 # ----------------------------------------------------------------------
 # Durable sessions: journal-before-apply and crash replay
 # ----------------------------------------------------------------------
@@ -382,19 +411,23 @@ class TestDurableSession:
         with pytest.raises(WalCorruptionError):
             DynamicSession.recover(directory)
 
-    def test_journal_before_apply_covers_rejected_ticks(self, tmp_path):
+    def test_rejected_tick_adds_no_wal_record(self, tmp_path):
         weights, distances = _dense_instance()
         directory = str(tmp_path / "d")
         session = DynamicSession(
             weights, 4, distances=distances, durable_dir=directory, fsync="off"
         )
-        good = EventBatchBuilder().change_weight(0, 0.5).build()
-        session.apply_events(good)
-        # a tick the engine rejects is journaled first (journal-before-apply);
-        # replay must reproduce the rejection, not choke on the record
+        session.apply_events(EventBatchBuilder().change_weight(0, 0.5).build())
+        wal_path = os.path.join(directory, "wal.log")
+        with open(wal_path, "rb") as handle:
+            journaled = handle.read()
+        # the tick is planned, and rejected, before anything is journaled
         bad = EventBatchBuilder().change_weight(1, -100.0).build()
-        with pytest.raises(Exception):
+        with pytest.raises(PerturbationError):
             session.apply_events(bad)
+        with open(wal_path, "rb") as handle:
+            assert handle.read() == journaled
+        assert session.durable.seq == 1
         session.apply_events(EventBatchBuilder().change_weight(2, 0.25).build())
         reference_solution = session.solution
         reference_value = session.solution_value
@@ -402,6 +435,7 @@ class TestDurableSession:
         recovered = DynamicSession.recover(directory)
         assert recovered.solution == reference_solution
         assert recovered.solution_value == reference_value
+        assert recovered.ticks == 2
         recovered.close()
 
     def test_compaction_truncates_and_rotates(self, tmp_path):
@@ -580,15 +614,23 @@ class TestRecoveryEdgeCases:
 TICKS = 5
 
 
-def _crash_states(tmp_path_factory_dir, seed):
-    """Durable run journaling TICKS ticks; returns per-boundary WAL images
-    plus the reference state after each tick."""
-    weights, distances = _dense_instance(seed=seed)
+def _crash_states(tmp_path_factory_dir, seed, backend):
+    """Durable run journaling TICKS ticks, each followed by a rejected one;
+    returns per-boundary WAL images plus the reference state after each tick.
+
+    The reference never sees the rejected ticks: a rejection must leave the
+    session, and its journal, as if the tick had never been offered."""
+    if backend == "dense":
+        weights, distances = _dense_instance(seed=seed)
+        options = {"distances": distances}
+    else:
+        points, weights = _sharded_instance(seed=seed)
+        options = {"points": points, "shard_size": 16}
     directory = os.path.join(tmp_path_factory_dir, f"run-{seed}")
     session = DynamicSession(
-        weights, 4, distances=distances, durable_dir=directory, fsync="off"
+        weights, 4, durable_dir=directory, fsync="off", **options
     )
-    reference = DynamicSession(weights, 4, distances=distances)
+    reference = DynamicSession(weights, 4, **options)
     wal_path = os.path.join(directory, "wal.log")
     wal_images = [open(wal_path, "rb").read()]
     states = [(reference.solution, reference.solution_value)]
@@ -599,6 +641,15 @@ def _crash_states(tmp_path_factory_dir, seed):
         reference.apply_events(batch)
         wal_images.append(open(wal_path, "rb").read())
         states.append((reference.solution, reference.solution_value))
+        rejected = (
+            EventBatchBuilder()
+            .set_weight(int(rng.integers(session.n)), 100.0)
+            .change_distance(0, 1, -1e6)
+            .build()
+        )
+        with pytest.raises(PerturbationError):
+            session.apply_events(rejected)
+        assert open(wal_path, "rb").read() == wal_images[-1]
     session.close()
     return directory, wal_images, states
 
@@ -606,17 +657,19 @@ def _crash_states(tmp_path_factory_dir, seed):
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2),
+    backend=st.sampled_from(["dense", "sharded"]),
     crash_tick=st.integers(min_value=0, max_value=TICKS),
     torn_bytes=st.integers(min_value=0, max_value=40),
 )
 def test_crash_anywhere_recovers_uncrashed_state(
-    tmp_path_factory, seed, crash_tick, torn_bytes
+    tmp_path_factory, seed, backend, crash_tick, torn_bytes
 ):
     """Crash after any journaled tick — clean at the record boundary or with
     a torn partial append on top — and recovery equals the uncrashed state at
-    the last intact boundary, bit for bit."""
+    the last intact boundary, bit for bit, on both backends and with
+    rejected ticks between the journaled ones."""
     base = str(tmp_path_factory.mktemp("crash"))
-    directory, wal_images, states = _crash_states(base, seed)
+    directory, wal_images, states = _crash_states(base, seed, backend)
     image = wal_images[crash_tick]
     frame_size = len(image) - len(wal_images[crash_tick - 1]) if crash_tick else 0
     torn = min(torn_bytes, max(0, frame_size - 1))  # never tear past one record

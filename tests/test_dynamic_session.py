@@ -383,19 +383,3 @@ class TestShardedFacade:
         with pytest.raises(InvalidParameterError):
             session.approximation_ratio()
 
-
-class TestBatchedSimulationEquivalence:
-    def test_batched_flag_matches_stepwise(self):
-        from repro.dynamic.simulation import Environment, run_dynamic_simulation
-
-        weights, distances = _dense_instance(n=12, seed=11)
-        stepwise = run_dynamic_simulation(
-            weights, distances, 4, 0.5, Environment.MPERTURBATION,
-            steps=12, seed=13,
-        )
-        batched = run_dynamic_simulation(
-            weights, distances, 4, 0.5, Environment.MPERTURBATION,
-            steps=12, seed=13, batched=True,
-        )
-        assert batched.ratios == stepwise.ratios
-        assert batched.worst_ratio == stepwise.worst_ratio

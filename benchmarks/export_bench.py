@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 #: suite (fraction of candidates whose quality gain is re-evaluated after the
 #: first greedy iteration — the CELF contract caps it at 0.25).
 #: ``interrupted_solve_overhead`` is the fractional slowdown a generous
-#: deadline adds to the greedy loop (capped at 0.05 by the deadline guard).
+#: deadline adds to the greedy loop (capped at 0.10 by the deadline guard).
 #: ``serve_qps`` / ``serve_p50_ms`` / ``serve_p99_ms`` are the serving-tier
 #: load numbers (64 concurrent clients on an n=100k sharded corpus; the
 #: guards demand ≥500 QPS and p99 ≤ 200 ms).

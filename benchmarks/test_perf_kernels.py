@@ -34,6 +34,7 @@ import pytest
 
 from repro.core import kernels
 from repro.core.batch import solve_many
+from repro.core.control import RunControl
 from repro.core.greedy import greedy_diversify
 from repro.core.local_search import (
     LocalSearchConfig,
@@ -482,7 +483,9 @@ def test_deadline_overhead(benchmark):
     objective = Objective(quality, metric, 1.0)
 
     def with_deadline():
-        return greedy_diversify(objective, DEADLINE_P, deadline=3600.0)
+        return greedy_diversify(
+            objective, DEADLINE_P, control=RunControl(deadline=3600.0)
+        )
 
     def plain():
         return greedy_diversify(objective, DEADLINE_P)

@@ -2,10 +2,10 @@
 
 Two contracts from the tracing/metrics subsystem:
 
-* **Enabled tracing overhead ≤5%.**  Passing ``trace=Trace()`` into the
-  n=100k sharded solve records a few dozen spans (restrict, per-shard
-  solves, greedy phases, final solve) — bookkeeping that must stay in the
-  noise next to the solve itself.  Traced and untraced solves alternate one
+* **Enabled tracing overhead ≤5%.**  Passing ``RunControl(trace=Trace())``
+  into the n=100k sharded solve records a few dozen spans (restrict,
+  per-shard solves, greedy phases, final solve) — bookkeeping that must stay
+  in the noise next to the solve itself.  Traced and untraced solves alternate one
   by one; the guard takes the median over 5 groups of rounds of the
   traced/untraced ratio of summed solve times.  Guard key ``obs_overhead``.
 
@@ -44,7 +44,7 @@ NULL_SPAN_CALLS = 100_000
 
 
 def _solve(instance, trace=None):
-    from repro import solve
+    from repro import RunControl, solve
 
     return solve(
         instance.quality,
@@ -53,7 +53,7 @@ def _solve(instance, trace=None):
         p=P,
         shards=SHARDS,
         shard_workers=SHARD_WORKERS,
-        trace=trace,
+        control=RunControl(trace=trace),
     )
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Observability: span traces and Prometheus-style metrics for the stack.
 
-Passing ``trace=Trace()`` into :func:`repro.solve` (or a
-:class:`repro.DynamicSession`, or a :class:`repro.Server`) records nested
+Passing ``control=RunControl(trace=Trace())`` into :func:`repro.solve` or a
+:class:`repro.DynamicSession` (or ``trace=Trace()`` into a
+:class:`repro.Server`) records nested
 wall-clock spans — restriction, per-shard solves, greedy rounds, WAL
 appends, tick repairs — and exports them as Chrome ``trace_event`` JSON
 (open the file in ``chrome://tracing`` or https://ui.perfetto.dev).  The
@@ -34,6 +35,7 @@ import numpy as np
 from repro import (
     DynamicSession,
     EventBatch,
+    RunControl,
     Trace,
     WeightIncrease,
     get_registry,
@@ -73,7 +75,7 @@ def solve_demo(out_dir: str, *, quick: bool) -> None:
         p=10,
         shards=4 if quick else 16,
         shard_workers=2,
-        trace=trace,
+        control=RunControl(trace=trace),
     )
     path = os.path.join(out_dir, "solve.trace.json")
     trace.export(path)
@@ -95,7 +97,9 @@ def dynamic_demo(out_dir: str, *, quick: bool) -> None:
     weights = rng.uniform(1.0, 2.0, size=n)
 
     trace = Trace()
-    session = DynamicSession(weights, 8, distances=distances, trace=trace)
+    session = DynamicSession(
+        weights, 8, distances=distances, control=RunControl(trace=trace)
+    )
     ticks = 6 if quick else 30
     hits = 0
     for tick in range(ticks):

@@ -30,6 +30,7 @@ from repro.core import (
     LocalSearchConfig,
     Objective,
     Restriction,
+    RunControl,
     SolveCheckpoint,
     SolverResult,
     StreamingDiversifier,
@@ -149,6 +150,7 @@ __all__ = [
     "SolverResult",
     "LocalSearchConfig",
     "SolveCheckpoint",
+    "RunControl",
     "Deadline",
     "solve",
     "solve_many",

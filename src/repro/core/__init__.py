@@ -39,6 +39,9 @@ its experiments compare against:
   for universes beyond matrix scale: partition, solve each shard on lazy
   per-shard state (optionally on a thread/process pool), and run the final
   algorithm on the union of shard winners.
+* :class:`~repro.core.control.RunControl` — how a solve runs (deadline,
+  checkpoints, resume point, trace) as one value every entry point takes,
+  e.g. ``solve(f, d, tradeoff=0.5, p=10, control=RunControl(deadline=0.2))``.
 """
 
 from repro.core.baselines import (
@@ -48,6 +51,7 @@ from repro.core.baselines import (
 )
 from repro.core.batch import solve_many
 from repro.core.checkpoint import SolveCheckpoint
+from repro.core.control import RunControl
 from repro.core.dispersion import greedy_dispersion
 from repro.core.exact import exact_dispersion, exact_diversify
 from repro.core.greedy import greedy_diversify
@@ -68,6 +72,7 @@ from repro.core.solver import solve
 __all__ = [
     "Objective",
     "Restriction",
+    "RunControl",
     "SolverResult",
     "SolveCheckpoint",
     "greedy_diversify",

@@ -25,10 +25,11 @@ Serving windows run through :meth:`repro.serve.PreparedCorpus.solve_window`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence
 
 from repro._types import Element
 from repro.core import kernels
+from repro.core.control import RunControl
 from repro.core.local_search import LocalSearchConfig
 from repro.core.objective import Objective
 from repro.core.restriction import Restriction
@@ -39,7 +40,7 @@ from repro.functions.base import SetFunction
 from repro.matroids.base import Matroid
 from repro.metrics.base import Metric
 from repro.metrics.matrix import as_distance_matrix
-from repro.utils.deadline import Deadline, mark_interrupted
+from repro.utils.deadline import mark_interrupted
 
 __all__ = ["solve_many"]
 
@@ -58,7 +59,7 @@ def solve_many(
     max_workers: Optional[int] = None,
     shards: Optional[int] = None,
     shard_size: Optional[int] = None,
-    deadline_s: Union[None, float, Deadline] = None,
+    control: Optional[RunControl] = None,
 ) -> List[SolverResult]:
     """Solve one diversification instance per candidate pool on a shared corpus.
 
@@ -101,14 +102,13 @@ def solve_many(
         regardless of ``materialize`` — avoiding the O(n²) corpus matrix is
         the point of sharding — so this is the multi-query path for corpora
         beyond matrix scale.
-    deadline_s:
-        Optional cooperative wall-clock budget shared by the **whole batch**
-        (one clock, not one per query).  Queries still running when it
-        expires stop early and return their best-so-far solution; queries
-        that have not started yet return an *empty* selection with
-        ``metadata["interrupted"] = True`` and
-        ``metadata["phase"] = "batch_queue"``.  Either way the returned list
-        always has one (feasible) result per query.
+    control:
+        Optional :class:`~repro.core.control.RunControl`; checkpoint fields
+        raise and a trace is ignored.  Its deadline is shared by the **whole
+        batch** (one clock, not one per query): queries still running when it
+        expires return their best-so-far solution, and queries not yet
+        started return an *empty* selection with
+        ``metadata["phase"] = "batch_queue"``.
 
     Returns
     -------
@@ -125,7 +125,8 @@ def solve_many(
     if max_workers is not None and max_workers < 1:
         raise InvalidParameterError("max_workers must be at least 1")
 
-    deadline = Deadline.coerce(deadline_s)
+    deadline = RunControl.coerce(control).check("batch").deadline
+    query_control = RunControl(deadline=deadline)
     sharded = shards is not None or shard_size is not None
     if sharded and matroid is not None:
         raise InvalidParameterError(
@@ -177,7 +178,7 @@ def solve_many(
                 candidates=pool,
                 max_workers=max_workers,
                 local_search_config=local_search_config,
-                deadline=deadline,
+                control=query_control,
             )
         restriction = Restriction(objective, pool)
         sub_matroid = (
@@ -189,7 +190,7 @@ def solve_many(
             p=p,
             matroid=sub_matroid,
             local_search_config=local_search_config,
-            deadline=deadline,
+            control=query_control,
         )
         return restriction.lift(result)
 

@@ -13,9 +13,9 @@ Checkpoints hold only primitive Python/tuple data (like
 :class:`~repro.obs.trace.Stopwatch`, nothing in them depends on live
 locks, clocks or array views), so they pickle across process boundaries and
 can be written to disk between sessions.  Emission is pull-free: callers pass
-``checkpoint_every=`` and an ``on_checkpoint`` callback to
-:func:`~repro.core.solver.solve`, and resume by passing the snapshot back as
-``resume_from=``.
+a :class:`~repro.core.control.RunControl` with ``checkpoint_every`` and an
+``on_checkpoint`` callback to :func:`~repro.core.solver.solve`, and resume by
+passing the snapshot back as its ``resume_from``.
 """
 
 from __future__ import annotations
@@ -149,42 +149,6 @@ class SolveCheckpoint:
     metadata: Dict[str, Any] = field(default_factory=dict)
     format_version: int = SNAPSHOT_FORMAT_VERSION
     fingerprint: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def require(
-        self, kind: str, n: int, *, fingerprint: Optional[str] = None
-    ) -> "SolveCheckpoint":
-        """Assert the checkpoint matches the resuming solve; return ``self``.
-
-        Raises :class:`~repro.exceptions.InvalidParameterError` on a kind or
-        universe mismatch (and
-        :class:`~repro.exceptions.SnapshotVersionError` on a version or
-        fingerprint mismatch) so a checkpoint cannot silently resume against
-        the wrong instance.
-        """
-        check_snapshot_version(self, source="checkpoint")
-        if self.kind != kind:
-            raise InvalidParameterError(
-                f"checkpoint kind {self.kind!r} cannot resume a {kind!r} solve"
-            )
-        if self.n != n:
-            raise InvalidParameterError(
-                f"checkpoint covers a universe of {self.n} elements but the "
-                f"instance has {n}"
-            )
-        if (
-            fingerprint is not None
-            and self.fingerprint is not None
-            and fingerprint != self.fingerprint
-        ):
-            raise SnapshotVersionError(
-                f"checkpoint fingerprint {self.fingerprint} does not match the "
-                f"resuming instance ({fingerprint}); it belongs to a different "
-                f"universe"
-            )
-        return self
 
     # ------------------------------------------------------------------
     # Persistence helpers

@@ -27,17 +27,17 @@ import time
 
 import numpy as np
 
-from typing import Callable, Iterable, List, Optional, Set, Union
+from typing import Iterable, List, Optional, Set
 
 from repro._types import Element
 from repro.core import kernels
-from repro.core.checkpoint import SolveCheckpoint, universe_fingerprint
+from repro.core.checkpoint import SolveCheckpoint
+from repro.core.control import RunControl
 from repro.core.objective import Objective
 from repro.core.result import SolverResult, build_result
 from repro.exceptions import InvalidParameterError
 from repro.obs.instrument import maybe_span, maybe_start_span
-from repro.obs.trace import Trace
-from repro.utils.deadline import Deadline, mark_interrupted
+from repro.utils.deadline import mark_interrupted
 from repro.utils.validation import check_cardinality
 
 #: Number of top stale candidates re-evaluated per CELF round.  Batching
@@ -54,11 +54,7 @@ def greedy_diversify(
     start: str = "potential",
     oblivious: bool = False,
     lazy: Optional[bool] = None,
-    deadline: Union[None, float, Deadline] = None,
-    checkpoint_every: Optional[int] = None,
-    on_checkpoint: Optional[Callable[[SolveCheckpoint], None]] = None,
-    resume_from: Optional[SolveCheckpoint] = None,
-    trace: Optional[Trace] = None,
+    control: Optional[RunControl] = None,
 ) -> SolverResult:
     """Run Greedy B for the cardinality-constrained problem.
 
@@ -91,26 +87,12 @@ def greedy_diversify(
         bounds.  ``False`` forces the plain batched evaluation (every
         candidate re-scored each iteration); ``True`` forces laziness for
         functions whose submodularity the caller vouches for.
-    deadline:
-        Optional cooperative wall-clock budget (seconds or a
-        :class:`~repro.utils.deadline.Deadline`).  Checked once per selection
-        step; on expiry the greedy stops and returns its best-so-far prefix —
-        always a feasible set, since every greedy prefix is — with
-        ``metadata["interrupted"] = True`` and ``metadata["phase"]``.
-    checkpoint_every, on_checkpoint:
-        Emit a pickle-safe :class:`~repro.core.checkpoint.SolveCheckpoint`
-        (the selection order so far) to ``on_checkpoint`` after every
-        ``checkpoint_every`` selections (default 1 when only the callback is
-        given).
-    resume_from:
-        A ``kind="greedy"`` checkpoint to resume from: its order is replayed
-        as the selection prefix, after which the greedy continues normally.
-        Greedy is deterministic given a prefix, so an interrupted-and-resumed
-        run selects the same set as an uninterrupted one.
-    trace:
-        Optional :class:`~repro.obs.trace.Trace`: records a ``gain_state``
-        span (tracker / batched marginal-gain state construction) and a
-        ``greedy_rounds`` span carrying iteration and CELF evaluation counts.
+    control:
+        Optional :class:`~repro.core.control.RunControl`, honoured in full.
+        The deadline is checked once per selection step (every prefix is
+        feasible); a ``kind="greedy"`` checkpoint records the selection order
+        and a resume replays it as the prefix.  A trace records
+        ``gain_state`` and ``greedy_rounds`` spans.
 
     Returns
     -------
@@ -125,24 +107,18 @@ def greedy_diversify(
             start=start,
             oblivious=oblivious,
             lazy=lazy,
-            deadline=deadline,
-            checkpoint_every=checkpoint_every,
-            on_checkpoint=on_checkpoint,
-            resume_from=resume_from,
-            trace=trace,
+            control=RunControl.coerce(control).scoped(restriction.candidates),
         )
         return restriction.lift(result)
 
     started = time.perf_counter()
-    deadline = Deadline.coerce(deadline)
+    control = RunControl.coerce(control)
+    deadline, trace = control.deadline, control.trace
+    on_checkpoint, checkpoint_every = control.on_checkpoint, control.checkpoint_every
     n = objective.n
     p = check_cardinality(p, n) if p <= n else n
     if start not in ("potential", "best_pair"):
         raise InvalidParameterError(f"unknown start rule {start!r}")
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise InvalidParameterError("checkpoint_every must be at least 1")
-    if on_checkpoint is not None and checkpoint_every is None:
-        checkpoint_every = 1
 
     algorithm = "greedy_b_oblivious" if oblivious else "greedy_b"
     if start == "best_pair":
@@ -158,10 +134,10 @@ def greedy_diversify(
 
     quality = objective.quality
     weights = kernels.modular_weights(quality)
-    fingerprint = universe_fingerprint("solve", "greedy", n, objective.tradeoff)
+    fingerprint = control.fingerprint("greedy", n, objective.tradeoff)
+    resume_from = control.resume("greedy", n, fingerprint)
     seeded: List[Element] = []
     if resume_from is not None:
-        resume_from.require("greedy", n, fingerprint=fingerprint)
         seeded = list(resume_from.order)[:p]
     elif start == "best_pair" and p >= 2 and n >= 2:
         if deadline is not None and deadline.expired():

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro._types import Element
 from repro.core import kernels
+from repro.core.control import RunControl
 from repro.core.objective import Objective
 from repro.core.result import SolverResult, build_result
 from repro.exceptions import InfeasibleError, InvalidParameterError
@@ -214,7 +215,7 @@ def local_search_diversify(
     config: Optional[LocalSearchConfig] = None,
     initial: Optional[Iterable[Element]] = None,
     candidates: Optional[Iterable[Element]] = None,
-    deadline: Union[None, float, Deadline] = None,
+    control: Optional[RunControl] = None,
 ) -> SolverResult:
     """Run the single-swap local search under a matroid constraint.
 
@@ -236,14 +237,13 @@ def local_search_diversify(
         (:meth:`~repro.matroids.base.Matroid.restrict`), the search runs on
         the sub-instance, and the result is lifted back.  ``initial`` (when
         given) must lie inside the pool.
-    deadline:
-        Optional cooperative wall-clock budget (seconds or a
-        :class:`~repro.utils.deadline.Deadline`).  Checked before every swap
-        scan; on expiry the current basis — always feasible, since swaps
-        preserve independence — is returned with
-        ``metadata["interrupted"] = True``.
+    control:
+        Optional :class:`~repro.core.control.RunControl`.  Its deadline is
+        checked before every swap scan (swaps preserve independence, so the
+        current basis is feasible); checkpoint fields raise.
     """
     config = config or LocalSearchConfig()
+    control = RunControl.coerce(control).check("local_search")
     if matroid.n != objective.n:
         raise InvalidParameterError(
             f"matroid covers {matroid.n} elements but the objective covers "
@@ -257,12 +257,12 @@ def local_search_diversify(
             matroid.restrict(restriction.candidates),
             config=config,
             initial=sub_initial,
-            deadline=deadline,
+            control=control,
         )
         return restriction.lift(result)
 
     started = time.perf_counter()
-    deadline = Deadline.coerce(deadline)
+    deadline = control.deadline
     if initial is None:
         selected = _initial_basis(objective, matroid)
     else:
@@ -316,7 +316,7 @@ def refine_with_local_search(
     time_budget_multiple: float = 10.0,
     min_budget_seconds: float = 0.01,
     config: Optional[LocalSearchConfig] = None,
-    deadline: Union[None, float, Deadline] = None,
+    control: Optional[RunControl] = None,
 ) -> SolverResult:
     """The experiments' "LS": swap-refine a greedy solution under a time budget.
 
@@ -337,12 +337,11 @@ def refine_with_local_search(
         swaps.
     config:
         Optional base configuration; its time budget is overridden.
-    deadline:
-        Optional cooperative wall-clock budget, checked alongside the
-        seed-relative time budget; on expiry the refinement stops and the
-        partially refined (still feasible) solution is returned with
-        ``metadata["interrupted"] = True``.
+    control:
+        Optional :class:`~repro.core.control.RunControl`, as for
+        :func:`local_search_diversify`.
     """
+    deadline = RunControl.coerce(control).check("local_search").deadline
     if time_budget_multiple < 0:
         raise InvalidParameterError("time_budget_multiple must be non-negative")
     cardinality = p if p is not None else seed_result.size
@@ -356,7 +355,6 @@ def refine_with_local_search(
         first_improvement=base.first_improvement,
     )
     started = time.perf_counter()
-    deadline = Deadline.coerce(deadline)
     selected = set(seed_result.selected)
     swap_trace: List[Tuple[Element, Element, float]] = []
     swaps, interrupted = _run_swaps(

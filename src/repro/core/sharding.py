@@ -55,12 +55,13 @@ harvests futures individually (instead of ``Executor.map``) so that
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro._types import Element
-from repro.core.checkpoint import SolveCheckpoint, universe_fingerprint
+from repro.core.checkpoint import SolveCheckpoint
+from repro.core.control import RunControl
 from repro.core.kernels import weights_view_of
 from repro.core.local_search import LocalSearchConfig
 from repro.core.objective import Objective
@@ -210,8 +211,9 @@ def _solve_shard(
             p=p,
             matroid=None,
             local_search_config=config,
-            deadline=deadline,
-            trace=worker_trace if traced else None,
+            control=RunControl(
+                deadline=deadline, trace=worker_trace if traced else None
+            ),
         )
         handle.set(selected=len(result.selected))
     return sorted(result.selected), worker_trace.bundle()
@@ -233,14 +235,10 @@ def solve_sharded(
     max_workers: Optional[int] = None,
     executor: str = "thread",
     local_search_config: Optional[LocalSearchConfig] = None,
-    deadline: Union[None, float, Deadline] = None,
     shard_timeout_s: Optional[float] = None,
     shard_retries: int = 1,
     retry_backoff_s: float = 0.05,
-    checkpoint_every: Optional[int] = None,
-    on_checkpoint: Optional[Callable[[SolveCheckpoint], None]] = None,
-    resume_from: Optional[SolveCheckpoint] = None,
-    trace: Optional[Trace] = None,
+    control: Optional[RunControl] = None,
 ) -> SolverResult:
     """Solve a huge cardinality-constrained instance via a sharded core-set.
 
@@ -284,12 +282,6 @@ def solve_sharded(
         into the parent, see :class:`~repro.obs.trace.Stopwatch`).
     local_search_config:
         Forwarded to any local-search stage (shard and final).
-    deadline:
-        Optional cooperative wall-clock budget (seconds or a
-        :class:`~repro.utils.deadline.Deadline`) covering the whole pipeline.
-        It is shipped into every shard solve and checked between shard
-        harvests and before the final stage; on expiry the result is built
-        from whatever winners exist with ``metadata["interrupted"] = True``.
     shard_timeout_s:
         Per-shard wall-clock timeout for pooled shard solves.  A shard that
         exceeds it is treated as lost: the pool is abandoned (a hung worker
@@ -302,25 +294,17 @@ def solve_sharded(
     retry_backoff_s:
         Initial backoff sleep between serial retries, doubled per attempt
         (capped at 5 s).
-    checkpoint_every, on_checkpoint:
-        Emit a pickle-safe :class:`~repro.core.checkpoint.SolveCheckpoint`
-        recording every solved shard's global winners after each
-        ``checkpoint_every`` shard completions (default 1 when only the
-        callback is given).
-    resume_from:
-        A ``kind="sharded"`` checkpoint from a previous run over the *same
-        partition* (shard layout is verified): already-solved shards are
-        skipped and their recorded winners reused.  Ignored by the
-        single-shard degenerate path.
-    trace:
-        Optional :class:`~repro.obs.trace.Trace`.  The pipeline records a
-        ``solve_sharded`` root span with ``restrict``, per-``shard`` and
-        ``final_solve`` children; pool workers trace locally and their spans
-        are adopted back with the shard results, and shards whose workers
-        timed out or crashed get a synthetic ``shard`` span whose ``status``
-        names the failure stage (``"worker_timeout"``/``"worker_crash"``/…)
-        so lost work is visible in the trace rather than silent.
-        ``metadata["timings"]`` gains the per-phase breakdown.
+    control:
+        Optional :class:`~repro.core.control.RunControl`, honoured in full.
+        The deadline is shipped into every shard solve and checked between
+        shard harvests and before the final stage.  A ``kind="sharded"``
+        checkpoint records every solved shard's global winners, and a resume
+        over the same partition and pool skips those shards.  Shard solves
+        and the final stage get only the deadline and the trace; a single
+        shard delegates to the plain solve without checkpoints.  A trace
+        records ``restrict``, per-``shard`` and ``final_solve`` spans under
+        a ``solve_sharded`` root (workers' spans are adopted; a lost shard
+        gets a ``shard`` span whose ``status`` names the failure stage).
 
     Returns
     -------
@@ -351,11 +335,10 @@ def solve_sharded(
         raise InvalidParameterError("shard_retries must be non-negative")
     if retry_backoff_s < 0:
         raise InvalidParameterError("retry_backoff_s must be non-negative")
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise InvalidParameterError("checkpoint_every must be at least 1")
-    if on_checkpoint is not None and checkpoint_every is None:
-        checkpoint_every = 1
-    deadline = Deadline.coerce(deadline)
+    control = RunControl.coerce(control)
+    deadline, trace = control.deadline, control.trace
+    # Shard solves and the final stage get the deadline and the trace only.
+    stage_control = RunControl(deadline=deadline, trace=trace)
 
     objective = Objective(quality, metric, tradeoff)
     if candidates is not None:
@@ -364,6 +347,7 @@ def solve_sharded(
         # shards are contiguous (copy-free views on matrix-backed metrics).
         user_pool = check_candidate_pool(candidates, objective.n)
         pool = np.sort(user_pool)
+        control = control.scoped(pool)
     else:
         user_pool = None
         pool = np.arange(objective.n)
@@ -383,8 +367,7 @@ def solve_sharded(
             algorithm=algorithm,
             candidates=user_pool,
             local_search_config=local_search_config,
-            deadline_s=deadline,
-            trace=trace,
+            control=stage_control,
         )
         metadata = dict(result.metadata)
         metadata["sharding"] = {
@@ -420,12 +403,11 @@ def solve_sharded(
     shard_sizes = tuple(int(part.size) for part in parts)
     # Shard layout is deliberately outside the fingerprint: a layout change
     # has its own dedicated InvalidParameterError below.
-    fingerprint = universe_fingerprint(
-        "solve", "sharded", objective.n, objective.tradeoff
-    )
+    fingerprint = control.fingerprint("sharded", objective.n, objective.tradeoff)
+    resume_from = control.resume("sharded", objective.n, fingerprint)
+    on_checkpoint, checkpoint_every = control.on_checkpoint, control.checkpoint_every
     resumed: Dict[int, np.ndarray] = {}
     if resume_from is not None:
-        resume_from.require("sharded", objective.n, fingerprint=fingerprint)
         if tuple(resume_from.shard_sizes) != shard_sizes:
             raise InvalidParameterError(
                 f"checkpoint shard layout {tuple(resume_from.shard_sizes)} does "
@@ -436,9 +418,8 @@ def solve_sharded(
             for index, global_winners in resume_from.shard_winners.items()
         }
 
-    # Explicit-start root span: the pipeline below has several return points
-    # (empty core-set, normal) and the span must outlive them all; the
-    # ``finalize_trace`` helper closes it and derives ``metadata["timings"]``.
+    # Explicit-start root span, closed at the end, where it also yields
+    # ``metadata["timings"]``.
     root = maybe_start_span(
         trace,
         "solve_sharded",
@@ -447,20 +428,6 @@ def solve_sharded(
         shards=len(parts),
         executor=executor,
     )
-
-    def finalize_trace(metadata: dict, elapsed: float) -> None:
-        if SOLVES.enabled():
-            SOLVES.inc(path="sharded")
-            SOLVE_SECONDS.observe(elapsed, path="sharded")
-        if trace is None:
-            return
-        root.set(
-            core_size=metadata["sharding"]["core_size"],
-            degraded=degraded,
-            interrupted=interrupted,
-        )
-        root.finish()
-        metadata["timings"] = phase_timings(trace, root.id, total=elapsed)
 
     # Build the shard sub-instances (cheap: lazy metric slices + weight
     # slices), keeping the winners of shards no bigger than their quota
@@ -701,87 +668,52 @@ def solve_sharded(
     if core.size == 0:
         # Every shard was lost (or the deadline expired before any winners
         # existed): the only feasible answer left is the empty selection.
-        metadata = {"p": p}
-        if user_pool is not None:
-            metadata["candidates"] = tuple(user_pool.tolist())
-        metadata["sharding"] = {
-            "shards": len(parts),
-            "shard_sizes": list(shard_sizes),
-            "core_size": 0,
-            "per_shard_p": keep,
-            "shard_algorithm": shard_algorithm,
-            "materialized_shards": bool(materialize_shards),
-            "executor": executor if use_pool else None,
-            "shard_seconds": shard_watch.elapsed_seconds,
-            "failures": failures,
-            "failed_shards": sorted(
-                index for index in range(len(parts)) if not solved_mask[index]
-            ),
-        }
-        if degraded:
-            metadata["degraded"] = True
-            metadata["degradation"] = "shard_map"
-        if interrupted:
-            mark_interrupted(metadata, deadline, "shard_map")
-        elapsed = time.perf_counter() - started
-        finalize_trace(metadata, elapsed)
-        return build_result(
-            objective,
-            set(),
-            [],
-            algorithm=algorithm,
-            iterations=0,
-            elapsed_seconds=elapsed,
-            metadata=metadata,
+        result = build_result(
+            objective, set(), [], algorithm=algorithm, metadata={"p": p}
         )
+    else:
+        final_materialize = algorithm not in _LAZY_FRIENDLY_ALGORITHMS
+        with maybe_span(
+            trace, "final_solve", core=int(core.size), algorithm=algorithm
+        ):
+            final_metric = sub_metric(metric, core, final_materialize)
+            final_restriction = Restriction(objective, core, metric=final_metric)
+            final_p = min(p, core.size)
+            if algorithm == "local_search":
+                # Seed the final search with the core-set greedy solution
+                # instead of the default best-pair basis: the shard stage
+                # already paid for good winners, and a bounded search budget
+                # should refine them, not rebuild from scratch.
+                from repro.core.greedy import greedy_diversify
+                from repro.core.local_search import local_search_diversify
+                from repro.matroids.uniform import UniformMatroid
 
-    final_materialize = algorithm not in _LAZY_FRIENDLY_ALGORITHMS
-    with maybe_span(
-        trace, "final_solve", core=int(core.size), algorithm=algorithm
-    ):
-        final_restriction = Restriction(
-            objective, core, metric=sub_metric(metric, core, final_materialize)
-        )
-        final_p = min(p, core.size)
-        if algorithm == "local_search":
-            # Seed the final search with the core-set greedy solution instead
-            # of the default best-pair basis: the shard stage already paid
-            # for good winners, and a bounded search budget should refine
-            # them, not rebuild from scratch.
-            from repro.core.greedy import greedy_diversify
-            from repro.core.local_search import local_search_diversify
-            from repro.matroids.uniform import UniformMatroid
-
-            seed = greedy_diversify(
-                final_restriction.objective,
-                final_p,
-                deadline=deadline,
-                trace=trace,
-            )
-            final = local_search_diversify(
-                final_restriction.objective,
-                UniformMatroid(final_restriction.n, final_p),
-                config=local_search_config,
-                initial=seed.selected,
-                deadline=deadline,
-            )
-        else:
-            final = _dispatch(
-                final_restriction.objective,
-                algorithm,
-                p=final_p,
-                matroid=None,
-                local_search_config=local_search_config,
-                deadline=deadline,
-                trace=trace,
-            )
-        result = final_restriction.lift(final)
+                seed = greedy_diversify(
+                    final_restriction.objective, final_p, control=stage_control
+                )
+                final = local_search_diversify(
+                    final_restriction.objective,
+                    UniformMatroid(final_restriction.n, final_p),
+                    config=local_search_config,
+                    initial=seed.selected,
+                    control=stage_control,
+                )
+            else:
+                final = _dispatch(
+                    final_restriction.objective,
+                    algorithm,
+                    p=final_p,
+                    matroid=None,
+                    local_search_config=local_search_config,
+                    control=stage_control,
+                )
+            result = final_restriction.lift(final)
 
     metadata = dict(result.metadata)
     if user_pool is not None:
         metadata["candidates"] = tuple(user_pool.tolist())
     else:
-        del metadata["candidates"]
+        metadata.pop("candidates", None)
     metadata["sharding"] = {
         "shards": len(parts),
         "shard_sizes": list(shard_sizes),
@@ -792,12 +724,12 @@ def solve_sharded(
         "executor": executor if use_pool else None,
         "shard_seconds": shard_watch.elapsed_seconds,
     }
-    if failures or any(not flag for flag in solved_mask):
+    if failures or not all(solved_mask) or core.size == 0:
         metadata["sharding"]["failures"] = failures
         metadata["sharding"]["failed_shards"] = sorted(
             index for index in range(len(parts)) if not solved_mask[index]
         )
-    if resumed:
+    if resumed and core.size:
         metadata["sharding"]["resumed_shards"] = sorted(resumed)
     if degraded:
         metadata["degraded"] = True
@@ -805,7 +737,13 @@ def solve_sharded(
     if interrupted:
         mark_interrupted(metadata, deadline, "shard_map")
     elapsed = time.perf_counter() - started
-    finalize_trace(metadata, elapsed)
+    if SOLVES.enabled():
+        SOLVES.inc(path="sharded")
+        SOLVE_SECONDS.observe(elapsed, path="sharded")
+    if trace is not None:
+        root.set(core_size=int(core.size), degraded=degraded, interrupted=interrupted)
+        root.finish()
+        metadata["timings"] = phase_timings(trace, root.id, total=elapsed)
     return SolverResult(
         selected=result.selected,
         order=result.order,

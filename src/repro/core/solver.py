@@ -9,11 +9,11 @@ appropriate algorithm and returns a :class:`~repro.core.result.SolverResult`.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro._types import Element
 from repro.core.baselines import gollapudi_sharma_greedy, matching_diversify
-from repro.core.checkpoint import SolveCheckpoint
+from repro.core.control import RunControl
 from repro.core.exact import exact_diversify
 from repro.core.greedy import greedy_diversify
 from repro.core.local_search import LocalSearchConfig, local_search_diversify
@@ -32,8 +32,6 @@ from repro.obs.instrument import (
     maybe_start_span,
     phase_timings,
 )
-from repro.obs.trace import Trace
-from repro.utils.deadline import Deadline
 
 #: Algorithms accepted by :func:`solve`.
 ALGORITHMS = (
@@ -62,11 +60,7 @@ def solve(
     shards: Optional[int] = None,
     shard_size: Optional[int] = None,
     shard_workers: Optional[int] = None,
-    deadline_s: Union[None, float, Deadline] = None,
-    checkpoint_every: Optional[int] = None,
-    on_checkpoint: Optional[Callable[[SolveCheckpoint], None]] = None,
-    resume_from: Optional[SolveCheckpoint] = None,
-    trace: Optional[Trace] = None,
+    control: Optional[RunControl] = None,
 ) -> SolverResult:
     """Solve a max-sum diversification instance.
 
@@ -103,31 +97,12 @@ def solve(
         ``algorithm`` runs on the union of the shard winners.  This is the
         path for universes too large to materialize O(n²) distances;
         cardinality constraints only.
-    deadline_s:
-        Optional cooperative wall-clock budget in seconds (or a pre-built
-        :class:`~repro.utils.deadline.Deadline` to share one clock across
-        calls).  Every algorithm polls it at loop boundaries and, on expiry,
-        stops and returns its best-so-far **feasible** solution instead of
-        raising; ``result.metadata["interrupted"]`` is ``True`` and
-        ``result.metadata["phase"]`` names the stage that was cut short.
-    checkpoint_every, on_checkpoint:
-        Periodic checkpointing for the greedy and sharded paths: a
-        pickle-safe :class:`~repro.core.checkpoint.SolveCheckpoint` is passed
-        to ``on_checkpoint`` after every ``checkpoint_every`` units of
-        progress (greedy selections, or solved shards).
-    resume_from:
-        A checkpoint from a previous (interrupted) run of the same instance;
-        the solve replays it and continues.  Only the greedy and sharded
-        paths support resuming — other algorithms raise
-        :class:`~repro.exceptions.InvalidParameterError`.
-    trace:
-        Optional :class:`~repro.obs.trace.Trace`.  When given, the solve
-        records nested spans for its phases (restriction, gain-state build,
-        greedy rounds; per-shard solves and the final core-set stage on the
-        sharded path), ``result.metadata["timings"]`` carries the compact
-        per-phase breakdown, and ``trace.export(path)`` writes Chrome-trace
-        JSON viewable in Perfetto.  The default (``None``) keeps every
-        instrumented path at no-op cost.
+    control:
+        Optional :class:`~repro.core.control.RunControl`, routed to the
+        algorithm's path (:data:`~repro.core.control.PATHS`): ``greedy_a``,
+        ``greedy_a_improved``, ``matching``, ``mmr`` and ``exact`` ignore the
+        deadline, and only greedy and sharded solves take checkpoints.  A
+        trace records a ``solve`` span over the path's own spans.
 
     Returns
     -------
@@ -159,14 +134,11 @@ def solve(
             candidates=candidates,
             max_workers=shard_workers,
             local_search_config=local_search_config,
-            deadline=deadline_s,
-            checkpoint_every=checkpoint_every,
-            on_checkpoint=on_checkpoint,
-            resume_from=resume_from,
-            trace=trace,
+            control=control,
         )
 
-    deadline = Deadline.coerce(deadline_s)
+    control = RunControl.coerce(control)
+    trace = control.trace
     objective = Objective(quality, metric, tradeoff)
     if matroid is not None and matroid.n != objective.n:
         raise InvalidParameterError(
@@ -193,11 +165,7 @@ def solve(
                     p=p,
                     matroid=sub_matroid,
                     local_search_config=local_search_config,
-                    deadline=deadline,
-                    checkpoint_every=checkpoint_every,
-                    on_checkpoint=on_checkpoint,
-                    resume_from=resume_from,
-                    trace=trace,
+                    control=control.scoped(restriction.candidates),
                 )
             )
         else:
@@ -207,11 +175,7 @@ def solve(
                 p=p,
                 matroid=matroid,
                 local_search_config=local_search_config,
-                deadline=deadline,
-                checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint,
-                resume_from=resume_from,
-                trace=trace,
+                control=control,
             )
     finally:
         root.finish()
@@ -231,11 +195,7 @@ def _dispatch(
     p: Optional[int],
     matroid: Optional[Matroid],
     local_search_config: Optional[LocalSearchConfig],
-    deadline: Optional[Deadline] = None,
-    checkpoint_every: Optional[int] = None,
-    on_checkpoint: Optional[Callable[[SolveCheckpoint], None]] = None,
-    resume_from: Optional[SolveCheckpoint] = None,
-    trace: Optional[Trace] = None,
+    control: Optional[RunControl] = None,
 ) -> SolverResult:
     """Run ``algorithm`` on an (already restricted) objective.
 
@@ -245,22 +205,14 @@ def _dispatch(
     reach it — they are re-indexed away by the restriction layer in the
     callers.
     """
-    checkpointing = (
-        checkpoint_every is not None
-        or on_checkpoint is not None
-        or resume_from is not None
-    )
-    if checkpointing and algorithm not in ("auto", "greedy", "greedy_best_pair"):
-        raise InvalidParameterError(
-            f"checkpoint/resume is supported by the greedy and sharded paths "
-            f"only, not algorithm {algorithm!r}"
-        )
+    control = RunControl.coerce(control)
     if matroid is not None:
         if algorithm in ("auto", "local_search"):
             return local_search_diversify(
-                objective, matroid, config=local_search_config, deadline=deadline
+                objective, matroid, config=local_search_config, control=control
             )
         if algorithm == "exact":
+            control.check("exact")
             return exact_diversify(objective, matroid=matroid)
         raise SolverError(
             f"algorithm {algorithm!r} does not support a general matroid constraint; "
@@ -268,17 +220,18 @@ def _dispatch(
         )
 
     assert p is not None
-    greedy_kwargs = dict(
-        deadline=deadline,
-        checkpoint_every=checkpoint_every,
-        on_checkpoint=on_checkpoint,
-        resume_from=resume_from,
-        trace=trace,
-    )
     if algorithm == "auto" or algorithm == "greedy":
-        return greedy_diversify(objective, p, **greedy_kwargs)
+        return greedy_diversify(objective, p, control=control)
     if algorithm == "greedy_best_pair":
-        return greedy_diversify(objective, p, start="best_pair", **greedy_kwargs)
+        return greedy_diversify(objective, p, start="best_pair", control=control)
+    if algorithm == "local_search":
+        return local_search_diversify(
+            objective,
+            UniformMatroid(objective.n, p),
+            config=local_search_config,
+            control=control,
+        )
+    control.check(algorithm)
     if algorithm == "greedy_a":
         return gollapudi_sharma_greedy(objective, p)
     if algorithm == "greedy_a_improved":
@@ -287,13 +240,6 @@ def _dispatch(
         return matching_diversify(objective, p)
     if algorithm == "mmr":
         return mmr_select(objective, p)
-    if algorithm == "local_search":
-        return local_search_diversify(
-            objective,
-            UniformMatroid(objective.n, p),
-            config=local_search_config,
-            deadline=deadline,
-        )
     if algorithm == "exact":
         return exact_diversify(objective, p)
     raise SolverError(f"unhandled algorithm {algorithm!r}")  # pragma: no cover

@@ -35,17 +35,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro._types import Element
 from repro.core import kernels
+from repro.core.control import RunControl
 from repro.core.objective import Objective
 from repro.core.result import SolverResult, build_result
 from repro.exceptions import InvalidParameterError
 from repro.functions.base import GainState
-from repro.utils.deadline import Deadline, mark_interrupted
+from repro.utils.deadline import mark_interrupted
 
 
 @dataclass
@@ -191,19 +192,19 @@ class StreamingDiversifier:
         self,
         elements: Iterable[Element],
         *,
-        deadline: Union[None, float, Deadline] = None,
+        control: Optional[RunControl] = None,
     ) -> "StreamingDiversifier":
         """Process a whole iterable of arrivals (returns ``self`` for chaining).
 
-        With a ``deadline`` the loop polls
+        With a ``control`` deadline the loop polls
         :meth:`~repro.utils.deadline.Deadline.expired` before each arrival
         and stops processing on expiry; the solution kept so far stays valid
         (it always has at most ``p`` elements) and unprocessed arrivals are
         simply dropped, as a real stream would drop them under back-pressure.
         Whether the stream was cut short is reported by
-        :attr:`interrupted`.
+        :attr:`interrupted`.  Checkpoint fields raise.
         """
-        deadline = Deadline.coerce(deadline)
+        deadline = RunControl.coerce(control).check("streaming").deadline
         self._interrupted = False
         for element in elements:
             if deadline is not None and deadline.expired():
@@ -241,7 +242,7 @@ def streaming_diversify(
     *,
     improvement_margin: float = 0.0,
     candidates: Optional[Iterable[Element]] = None,
-    deadline: Union[None, float, Deadline] = None,
+    control: Optional[RunControl] = None,
 ) -> SolverResult:
     """One-shot convenience wrapper: stream the universe through a StreamingDiversifier.
 
@@ -260,12 +261,9 @@ def streaming_diversify(
         Optional candidate pool, routed through the restriction layer: the
         stream runs over the re-indexed sub-instance and the result is lifted
         back.  Every arrival must belong to the pool.
-    deadline:
-        Optional cooperative wall-clock budget (seconds or a
-        :class:`~repro.utils.deadline.Deadline`).  Checked before each
-        arrival; on expiry the remaining arrivals are dropped and the
-        solution built so far is returned with
-        ``metadata["interrupted"] = True``.
+    control:
+        Optional :class:`~repro.core.control.RunControl`, as for
+        :meth:`StreamingDiversifier.process_stream`.
     """
     if candidates is not None:
         restriction = objective.restrict(candidates)
@@ -277,18 +275,18 @@ def streaming_diversify(
             p,
             sub_order,
             improvement_margin=improvement_margin,
-            deadline=deadline,
+            control=control,
         )
         return restriction.lift(result)
 
     started = time.perf_counter()
-    deadline = Deadline.coerce(deadline)
+    control = RunControl.coerce(control)
     order: Tuple[Element, ...] = (
         tuple(range(objective.n)) if arrival_order is None else tuple(arrival_order)
     )
     engine = StreamingDiversifier(objective, p, improvement_margin=improvement_margin)
-    engine.process_stream(order, deadline=deadline)
+    engine.process_stream(order, control=control)
     result = engine.result(elapsed_seconds=time.perf_counter() - started)
     if engine.interrupted:
-        mark_interrupted(result.metadata, deadline, "streaming_arrivals")
+        mark_interrupted(result.metadata, control.deadline, "streaming_arrivals")
     return result

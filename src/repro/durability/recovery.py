@@ -32,6 +32,7 @@ import hashlib
 import os
 import pickle
 import struct
+import zipfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -236,7 +237,16 @@ class DurableStore:
             raise RecoveryError(
                 f"a tick record of {len(body)} bytes disagrees with its prefix"
             )
-        return decode_event_batch(body[size:]), None if updates == -1 else updates
+        try:
+            batch = decode_event_batch(body[size:])
+        # What np.load and the archive lookups raise on bytes that are not an
+        # encoded event batch.
+        except (EOFError, LookupError, RuntimeError, ValueError,
+                zipfile.BadZipFile) as error:
+            raise RecoveryError(
+                f"a tick record's batch bytes do not decode: {error!r}"
+            ) from error
+        return batch, None if updates == -1 else updates
 
     # ------------------------------------------------------------------
     # Compaction

@@ -20,11 +20,11 @@ the same :meth:`~DynamicSession.apply_events` interface:
   solution-relevant state actually changed.
 
 The session also owns the operational conveniences that previously lived in
-ad-hoc driver scripts: periodic snapshots (every ``checkpoint_every`` ticks,
-handed to ``on_checkpoint``) and, for the sharded tier, a periodic full
-re-solve (``resolve_every``) whose result is adopted when it beats the
-incrementally maintained solution — the drift guard the benchmarks assert
-parity against.
+ad-hoc driver scripts: periodic snapshots (every ``checkpoint_every`` ticks
+of its :class:`~repro.core.control.RunControl`, handed to ``on_checkpoint``)
+and, for the sharded tier, a periodic full re-solve (``resolve_every``) whose
+result is adopted when it beats the incrementally maintained solution — the
+drift guard the benchmarks assert parity against.
 
 Failure containment mirrors :func:`~repro.core.sharding.solve_sharded`: a
 shard whose local solve raises keeps its previous winners (stale but
@@ -56,6 +56,7 @@ from repro.core.checkpoint import (
     check_snapshot_version,
     universe_fingerprint,
 )
+from repro.core.control import RunControl
 from repro.core.greedy import greedy_diversify
 from repro.core.objective import Objective
 from repro.core.sharding import solve_sharded, sub_metric
@@ -80,7 +81,6 @@ from repro.obs.instrument import (
     maybe_start_span,
     phase_timings,
 )
-from repro.obs.trace import Trace
 
 __all__ = ["DynamicSession", "SessionSnapshot", "ShardedDynamicEngine"]
 
@@ -652,11 +652,6 @@ class DynamicSession:
         Sharded mode: an ``(n, d)`` point matrix (kwargs ``shard_size``,
         ``per_shard_p``, ``metric_factory`` forward to
         :class:`ShardedDynamicEngine`).
-    checkpoint_every, on_checkpoint:
-        Emit a pickle-safe snapshot (:class:`~repro.dynamic.engine.EngineSnapshot`
-        dense / :class:`SessionSnapshot` sharded) to ``on_checkpoint`` after
-        every ``checkpoint_every`` ticks (default 1 when only the callback is
-        given).
     resolve_every, resolve_kwargs:
         Sharded mode only: every ``resolve_every`` ticks run
         :meth:`ShardedDynamicEngine.resolve_full` (forwarding
@@ -673,17 +668,14 @@ class DynamicSession:
         snapshot generation (``keep_snapshots`` retained).  The directory
         must be fresh — recovering an existing journal is :meth:`recover`'s
         job, not the constructor's.
-    trace:
-        Optional :class:`~repro.obs.trace.Trace`.  Every tick records a
-        ``tick`` span with ``wal.journal`` / ``apply`` / ``repair`` children
-        (plus ``resolve_full`` / ``checkpoint`` / ``wal.compact`` when those
-        cadences fire), certificate and dirty-shard attributes, and a
-        compact ``outcome.metadata["timings"]`` breakdown.  ``None`` (the
-        default) keeps every tick at no-op instrumentation cost.
+    control:
+        Optional :class:`~repro.core.control.RunControl`; a deadline or
+        ``resume_from`` raises.  ``on_checkpoint`` gets a :meth:`snapshot`
+        every ``checkpoint_every`` ticks.  A trace records a ``tick`` span
+        per tick (``wal.journal`` / ``apply`` / ``repair`` children, plus
+        ``resolve_full`` / ``checkpoint`` / ``wal.compact`` when those
+        cadences fire) and ``outcome.metadata["timings"]``.
     """
-
-    #: Class attribute so ``__new__``-based restore paths inherit ``None``.
-    _trace = None
 
     def __init__(
         self,
@@ -699,26 +691,18 @@ class DynamicSession:
         shard_size: int = DEFAULT_SHARD_SIZE,
         per_shard_p: Optional[int] = None,
         metric_factory: Optional[Callable[[np.ndarray], Metric]] = None,
-        checkpoint_every: Optional[int] = None,
-        on_checkpoint: Optional[
-            Callable[[Union[EngineSnapshot, SessionSnapshot]], None]
-        ] = None,
         resolve_every: Optional[int] = None,
         resolve_kwargs: Optional[dict] = None,
         durable_dir: Optional[str] = None,
         fsync: str = "interval",
         snapshot_every: Optional[int] = None,
         keep_snapshots: int = 2,
-        trace: Optional[Trace] = None,
+        control: Optional[RunControl] = None,
     ) -> None:
         if (distances is None) == (points is None):
             raise InvalidParameterError(
                 "supply exactly one of distances (dense) or points (sharded)"
             )
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise InvalidParameterError("checkpoint_every must be at least 1")
-        if on_checkpoint is not None and checkpoint_every is None:
-            checkpoint_every = 1
         if resolve_every is not None and resolve_every < 1:
             raise InvalidParameterError("resolve_every must be at least 1")
         if snapshot_every is not None and durable_dir is None:
@@ -726,13 +710,9 @@ class DynamicSession:
                 "snapshot_every is the durable compaction cadence; it needs "
                 "durable_dir"
             )
-        self._checkpoint_every = checkpoint_every
-        self._on_checkpoint = on_checkpoint
-        self._resolve_every = resolve_every
-        self._resolve_kwargs = dict(resolve_kwargs or {})
+        self._configure(control, resolve_every, resolve_kwargs)
         self._ticks = 0
         self._durable = None
-        self._trace = trace
         self._dense: Optional[DynamicDiversifier] = None
         self._sharded: Optional[ShardedDynamicEngine] = None
         if distances is not None:
@@ -759,7 +739,7 @@ class DynamicSession:
                 per_shard_p=per_shard_p,
                 metric_factory=metric_factory,
             )
-        self.engine.trace = trace
+        self.engine.trace = self._control.trace
         if durable_dir is not None:
             from repro.durability.recovery import DurableStore
 
@@ -771,6 +751,12 @@ class DynamicSession:
             )
             store.start_fresh(self)
             self._durable = store
+
+    def _configure(self, control, resolve_every, resolve_kwargs) -> None:
+        """The session cadences, shared by the constructor and :meth:`restore`."""
+        self._control = RunControl.coerce(control).check("session")
+        self._resolve_every = resolve_every
+        self._resolve_kwargs = dict(resolve_kwargs or {})
 
     # ------------------------------------------------------------------
     # Introspection
@@ -854,7 +840,7 @@ class DynamicSession:
         so a crash in between replays the tick on recovery.  ``updates`` is
         the dense engine's swap budget; the sharded backend rejects it.
         """
-        trace = self._trace
+        control, trace = self._control, self._control.trace
         metered = TICKS.enabled()
         started = time.perf_counter()
         tick_span = maybe_start_span(
@@ -890,11 +876,11 @@ class DynamicSession:
                 with maybe_span(trace, "resolve_full"):
                     self._sharded.resolve_full(adopt=True, **self._resolve_kwargs)
             if (
-                self._on_checkpoint is not None
-                and self._ticks % self._checkpoint_every == 0
+                control.on_checkpoint is not None
+                and self._ticks % control.checkpoint_every == 0
             ):
                 with maybe_span(trace, "checkpoint"):
-                    self._on_checkpoint(self.snapshot())
+                    control.on_checkpoint(self.snapshot())
             if self._durable is not None:
                 with maybe_span(trace, "wal.compact"):
                     self._durable.maybe_compact(self)
@@ -956,21 +942,16 @@ class DynamicSession:
         snapshot: Union[EngineSnapshot, SessionSnapshot],
         *,
         metric_factory: Optional[Callable[[np.ndarray], Metric]] = None,
-        **session_kwargs,
+        resolve_every: Optional[int] = None,
+        resolve_kwargs: Optional[dict] = None,
+        control: Optional[RunControl] = None,
+        **unknown,
     ) -> "DynamicSession":
         """Rebuild a session from a :meth:`snapshot` of either backend."""
+        if unknown:
+            raise InvalidParameterError(f"unknown restore options: {sorted(unknown)}")
         session = cls.__new__(cls)
-        session._checkpoint_every = session_kwargs.pop("checkpoint_every", None)
-        session._on_checkpoint = session_kwargs.pop("on_checkpoint", None)
-        if session._on_checkpoint is not None and session._checkpoint_every is None:
-            session._checkpoint_every = 1
-        session._resolve_every = session_kwargs.pop("resolve_every", None)
-        session._resolve_kwargs = dict(session_kwargs.pop("resolve_kwargs", None) or {})
-        session._trace = session_kwargs.pop("trace", None)
-        if session_kwargs:
-            raise InvalidParameterError(
-                f"unknown restore options: {sorted(session_kwargs)}"
-            )
+        session._configure(control, resolve_every, resolve_kwargs)
         session._durable = None
         session._dense = None
         session._sharded = None
@@ -987,7 +968,7 @@ class DynamicSession:
                 f"restore expects an EngineSnapshot or SessionSnapshot, "
                 f"got {type(snapshot).__name__}"
             )
-        session.engine.trace = session._trace
+        session.engine.trace = session._control.trace
         return session
 
     # ------------------------------------------------------------------
@@ -999,6 +980,7 @@ class DynamicSession:
         durable_dir: str,
         *,
         metric_factory: Optional[Callable[[np.ndarray], Metric]] = None,
+        control: Optional[RunControl] = None,
         **options,
     ) -> "DynamicSession":
         """Recover a durable session from its directory after a crash.
@@ -1012,12 +994,13 @@ class DynamicSession:
 
         Session configuration (``resolve_every``, ``fsync``,
         ``snapshot_every``, ...) defaults to what the dead session journaled;
-        keyword ``options`` override it.
+        keyword ``options`` override it.  ``control`` is not journaled: the
+        recovered session runs under the one given here, replay included.
         """
         from repro.durability.recovery import recover_session
 
         return recover_session(
-            cls, durable_dir, metric_factory=metric_factory, **options
+            cls, durable_dir, metric_factory=metric_factory, control=control, **options
         )
 
     def close(self) -> None:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.control import RunControl
 from repro.dynamic.session import DynamicSession
 from repro.dynamic.perturbation import (
     DistanceDecrease,
@@ -131,8 +132,7 @@ def run_dynamic_simulation(
     track_ratio: bool = True,
     distance_low: float = 1.0,
     distance_high: float = 2.0,
-    checkpoint_every: Optional[int] = None,
-    on_checkpoint: Optional[Callable[[object], None]] = None,
+    control: Optional[RunControl] = None,
 ) -> SimulationRecord:
     """Run one perturbation/update trajectory and track approximation ratios.
 
@@ -141,8 +141,8 @@ def run_dynamic_simulation(
     the simulated update rule is exactly the engine everything else runs.
     ``track_ratio=True`` computes the exact optimum after every step, which is
     exponential in ``p`` — keep ``n`` and ``p`` small (the paper uses the
-    synthetic N=50-style instances).  ``checkpoint_every``/``on_checkpoint``
-    forward to the session: pickle-safe engine snapshots every so many steps.
+    synthetic N=50-style instances).  ``control`` configures the session:
+    pickle-safe engine snapshots every ``checkpoint_every`` steps.
     """
     if steps < 0:
         raise InvalidParameterError("steps must be non-negative")
@@ -152,8 +152,7 @@ def run_dynamic_simulation(
         p,
         distances=np.asarray(distances, dtype=float),
         tradeoff=tradeoff,
-        checkpoint_every=checkpoint_every,
-        on_checkpoint=on_checkpoint,
+        control=control,
     )
     ratios: List[float] = []
     for _ in range(steps):

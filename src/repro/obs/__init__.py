@@ -18,7 +18,10 @@ Typical use::
 
     from repro.obs import Trace
     trace = Trace()
-    result = solve(quality, metric, tradeoff=0.5, p=10, shards=8, trace=trace)
+    result = solve(
+        quality, metric, tradeoff=0.5, p=10, shards=8,
+        control=RunControl(trace=trace),
+    )
     trace.export("solve.trace.json")        # open in Perfetto
     result.metadata["timings"]              # compact per-phase breakdown
 """

@@ -48,6 +48,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
     universe_fingerprint,
 )
+from repro.core.control import RunControl
 from repro.core.local_search import LocalSearchConfig
 from repro.core.objective import Objective
 from repro.core.restriction import Restriction
@@ -337,9 +338,7 @@ class PreparedCorpus:
     # ------------------------------------------------------------------
     # Window execution
     # ------------------------------------------------------------------
-    def _solve_pool(
-        self, request: ServeQuery, deadline: Optional[Deadline]
-    ) -> SolverResult:
+    def _solve_pool(self, request: ServeQuery, control: RunControl) -> SolverResult:
         """A pool-scoped query (or a full-universe one on an unsharded corpus)
         on its cached restriction view, lifted back to corpus indices."""
         restriction = (
@@ -362,6 +361,7 @@ class PreparedCorpus:
                 f"unknown algorithm {request.algorithm!r}; expected one of "
                 f"{ALGORITHMS}"
             )
+        deadline = control.deadline
         if deadline is not None and deadline.expired():
             # The budget ran out while the request sat in the window queue:
             # report an empty (trivially feasible) selection immediately.
@@ -397,12 +397,12 @@ class PreparedCorpus:
             p=p,
             matroid=matroid,
             local_search_config=request.local_search_config,
-            deadline=deadline,
+            control=control,
         )
         return restriction.lift(result)
 
     def _solve_full_sharded(
-        self, request: ServeQuery, deadline: Optional[Deadline]
+        self, request: ServeQuery, control: RunControl
     ) -> SolverResult:
         """A full-universe query on a sharded corpus (core-set pipeline)."""
         if request.matroid is not None:
@@ -433,7 +433,7 @@ class PreparedCorpus:
             max_workers=self._shard_workers,
             executor=self._shard_executor,
             local_search_config=request.local_search_config,
-            deadline=deadline,
+            control=control,
         )
 
     def solve_window(
@@ -463,12 +463,12 @@ class PreparedCorpus:
         for index, request in enumerate(requests):
             if skip is not None and skip(index):
                 continue
-            effective = Deadline.earliest(request.deadline, shared)
+            control = RunControl(deadline=Deadline.earliest(request.deadline, shared))
             try:
                 if request.pool is None and self._sharded:
-                    results[index] = self._solve_full_sharded(request, effective)
+                    results[index] = self._solve_full_sharded(request, control)
                 else:
-                    results[index] = self._solve_pool(request, effective)
+                    results[index] = self._solve_pool(request, control)
             except Exception as error:
                 results[index] = error
         return results

@@ -16,7 +16,7 @@ Design notes
   forwards the deadline *into* each shard's greedy).
 * **Cheap.**  One ``time.monotonic()`` call and a comparison per check —
   nanoseconds against loop bodies that sweep arrays of length ``n``.  The
-  greedy benchmark guards the total overhead at < 5 %.
+  greedy benchmark guards the total overhead at ≤ 10 %.
 * **Pickle-safe.**  A deadline shipped to a process-pool worker re-anchors
   itself on arrival with the *remaining* budget at pickling time (monotonic
   clocks are not meaningfully comparable across processes), so shard workers

@@ -11,9 +11,12 @@ drop acknowledged writes.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import shutil
+import struct
+import zipfile
 import dataclasses
 
 import numpy as np
@@ -27,6 +30,7 @@ from repro.core.checkpoint import (
     check_snapshot_version,
     universe_fingerprint,
 )
+from repro.core.control import RunControl
 from repro.durability.recovery import DurableCheckpoint, DurableStore
 from repro.durability.snapshot import SnapshotStore, read_framed, write_framed
 from repro.durability.wal import (
@@ -71,6 +75,28 @@ def _dense_instance(n=12, seed=0):
 def _sharded_instance(n=48, d=3, seed=1):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, d)), rng.uniform(0.5, 2.0, n)
+
+
+def _npz(**arrays) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+#: Batch bytes that are not an encoded event batch, each with the error
+#: ``np.load`` or the archive lookup raises on it.
+_BAD_BATCHES = {
+    "junk": (b"\x01" * 13, ValueError),
+    "bare zip header": (b"PK\x03\x04" + b"\x00" * 26, zipfile.BadZipFile),
+    "npz without meta": (_npz(weight_deltas=np.zeros(1)), KeyError),
+    "npz with only meta": (_npz(__meta__=np.array([1, 0, 0])), KeyError),
+}
+
+
+def _bad_tick_body(name):
+    """A tick record body with a correct ``<Qq`` prefix around a bad batch."""
+    data, cause = _BAD_BATCHES[name]
+    return struct.pack("<Qq", len(data), -1) + data, cause
 
 
 def _tick(rng, n):
@@ -325,6 +351,27 @@ class TestTickRecord:
         for damaged in (body + b"\x00", body[:-1], body[:10]):
             with pytest.raises(RecoveryError):
                 DurableStore.decode_tick(damaged)
+
+    @pytest.mark.parametrize("name", sorted(_BAD_BATCHES))
+    def test_undecodable_batch_raises_recovery_error(self, name):
+        body, cause = _bad_tick_body(name)
+        with pytest.raises(RecoveryError) as raised:
+            DurableStore.decode_tick(body)
+        assert isinstance(raised.value.__cause__, cause)
+
+    @pytest.mark.parametrize("name", sorted(_BAD_BATCHES))
+    def test_recover_rejects_undecodable_batch(self, tmp_path, name):
+        directory = str(tmp_path / "d")
+        weights, distances = _dense_instance()
+        DynamicSession(
+            weights, 4, distances=distances, durable_dir=directory, fsync="off"
+        ).close()
+        body, cause = _bad_tick_body(name)
+        with WriteAheadLog(os.path.join(directory, "wal.log"), fsync="off") as wal:
+            wal.append(RECORD_TICK, 1, body)
+        with pytest.raises(RecoveryError) as raised:
+            DynamicSession.recover(directory)
+        assert isinstance(raised.value.__cause__, cause)
 
 
 # ----------------------------------------------------------------------
@@ -714,9 +761,10 @@ class TestSnapshotVersioning:
             p=3,
             fingerprint=universe_fingerprint("solve", "greedy", 10, 0.5),
         )
-        checkpoint.require("greedy", 10, fingerprint=checkpoint.fingerprint)
+        control = RunControl(resume_from=checkpoint)
+        control.resume("greedy", 10, fingerprint=checkpoint.fingerprint)
         with pytest.raises(SnapshotVersionError, match="different universe"):
-            checkpoint.require(
+            control.resume(
                 "greedy",
                 10,
                 fingerprint=universe_fingerprint("solve", "greedy", 10, 0.75),

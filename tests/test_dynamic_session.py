@@ -14,6 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.control import RunControl
 from repro.dynamic.engine import DynamicDiversifier, EngineSnapshot
 from repro.dynamic.events import EventBatchBuilder
 from repro.dynamic.perturbation import WeightIncrease
@@ -86,7 +87,7 @@ class TestDenseFacade:
         snapshots = []
         session = DynamicSession(
             weights, 3, distances=distances,
-            checkpoint_every=3, on_checkpoint=snapshots.append,
+            control=RunControl(checkpoint_every=3, on_checkpoint=snapshots.append),
         )
         for step in range(7):
             session.apply(WeightIncrease(step % session.n, 0.1))
@@ -97,7 +98,10 @@ class TestDenseFacade:
         weights, distances = _dense_instance()
         snapshots = []
         session = DynamicSession(
-            weights, 3, distances=distances, on_checkpoint=snapshots.append
+            weights,
+            3,
+            distances=distances,
+            control=RunControl(on_checkpoint=snapshots.append),
         )
         session.apply(WeightIncrease(0, 0.1))
         session.apply(WeightIncrease(1, 0.1))
@@ -363,7 +367,8 @@ class TestShardedFacade:
         snapshots = []
         session = DynamicSession(
             weights, 5, points=points, shard_size=16,
-            resolve_every=2, checkpoint_every=2, on_checkpoint=snapshots.append,
+            resolve_every=2,
+            control=RunControl(checkpoint_every=2, on_checkpoint=snapshots.append),
         )
         rng = np.random.default_rng(10)
         for _ in range(4):

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.batch import solve_many
 from repro.core.checkpoint import SolveCheckpoint
+from repro.core.control import RunControl
 from repro.core.greedy import greedy_diversify
 from repro.core.kernels import best_swap_scan_from_gains
 from repro.core.local_search import (
@@ -102,7 +103,7 @@ class TestDeadline:
 # ----------------------------------------------------------------------
 class TestAnytimeDeadlines:
     def test_greedy_expired_deadline_returns_empty_interrupted(self, objective):
-        result = greedy_diversify(objective, 10, deadline=0.0)
+        result = greedy_diversify(objective, 10, control=RunControl(deadline=0.0))
         assert result.selected == frozenset()
         assert result.metadata["interrupted"] is True
         assert result.metadata["phase"] == "greedy_selection"
@@ -110,39 +111,50 @@ class TestAnytimeDeadlines:
 
     def test_greedy_generous_deadline_matches_unconstrained(self, objective):
         plain = greedy_diversify(objective, 8)
-        timed = greedy_diversify(objective, 8, deadline=60.0)
+        timed = greedy_diversify(objective, 8, control=RunControl(deadline=60.0))
         assert timed.selected == plain.selected
         assert "interrupted" not in timed.metadata
 
     def test_local_search_expired_deadline_keeps_feasible_basis(self, objective):
         matroid = UniformMatroid(objective.n, 6)
-        result = local_search_diversify(objective, matroid, deadline=0.0)
+        result = local_search_diversify(
+            objective, matroid, control=RunControl(deadline=0.0)
+        )
         assert len(result.selected) == 6
         assert result.metadata["interrupted"] is True
         assert result.metadata["converged"] is False
 
     def test_refine_expired_deadline_returns_seed(self, objective):
         seed = greedy_diversify(objective, 6)
-        refined = refine_with_local_search(objective, seed, deadline=0.0)
+        refined = refine_with_local_search(
+            objective, seed, control=RunControl(deadline=0.0)
+        )
         assert refined.selected == seed.selected
         assert refined.metadata["interrupted"] is True
 
     def test_streaming_expired_deadline_drops_arrivals(self, objective):
-        result = streaming_diversify(objective, 5, deadline=0.0)
+        result = streaming_diversify(objective, 5, control=RunControl(deadline=0.0))
         assert result.selected == frozenset()
         assert result.metadata["interrupted"] is True
         assert result.metadata["phase"] == "streaming_arrivals"
 
     def test_solve_forwards_deadline(self, instance):
         quality, metric = instance
-        result = solve(quality, metric, tradeoff=0.8, p=10, deadline_s=0.0)
+        result = solve(
+            quality, metric, tradeoff=0.8, p=10, control=RunControl(deadline=0.0)
+        )
         assert result.metadata["interrupted"] is True
 
     def test_solve_many_shared_budget_marks_queued_queries(self, instance):
         quality, metric = instance
         queries = [range(0, 60), range(40, 120), range(80, 160)]
         results = solve_many(
-            quality, metric, queries, tradeoff=0.8, p=5, deadline_s=0.0
+            quality,
+            metric,
+            queries,
+            tradeoff=0.8,
+            p=5,
+            control=RunControl(deadline=0.0),
         )
         assert len(results) == len(queries)
         for result in results:
@@ -153,7 +165,12 @@ class TestAnytimeDeadlines:
     def test_sharded_deadline_returns_within_budget(self, instance):
         quality, metric = instance
         result = solve_sharded(
-            quality, metric, tradeoff=0.8, p=6, shards=4, deadline=0.0
+            quality,
+            metric,
+            tradeoff=0.8,
+            p=6,
+            shards=4,
+            control=RunControl(deadline=0.0),
         )
         assert result.metadata["interrupted"] is True
         assert result.metadata["phase"] == "shard_map"
@@ -170,7 +187,7 @@ class TestAnytimeDeadlines:
             tradeoff=0.5,
             p=50,
             shards=50,
-            deadline_s=budget,
+            control=RunControl(deadline=budget),
         )
         wall = time.perf_counter() - started
         # The cooperative checks only fire at iteration boundaries, so the
@@ -186,7 +203,7 @@ class TestAnytimeDeadlines:
         # that expires after a controlled number of checks.
         full = greedy_diversify(objective, 8)
         deadline = Deadline(0.0)
-        partial = greedy_diversify(objective, 8, deadline=deadline)
+        partial = greedy_diversify(objective, 8, control=RunControl(deadline=deadline))
         assert list(partial.order) == list(full.order)[: len(partial.order)]
 
 
@@ -197,19 +214,23 @@ class TestCheckpointResume:
     def test_greedy_checkpoints_and_resume_reproduce_run(self, objective):
         checkpoints = []
         full = greedy_diversify(
-            objective, 8, checkpoint_every=2, on_checkpoint=checkpoints.append
+            objective,
+            8,
+            control=RunControl(checkpoint_every=2, on_checkpoint=checkpoints.append),
         )
         assert [len(c.order) for c in checkpoints] == [2, 4, 6, 8]
         middle = checkpoints[1]
         assert middle.kind == "greedy"
-        resumed = greedy_diversify(objective, 8, resume_from=middle)
+        resumed = greedy_diversify(objective, 8, control=RunControl(resume_from=middle))
         assert resumed.selected == full.selected
         assert list(resumed.order) == list(full.order)
         assert resumed.metadata["resumed_at"] == 4
 
     def test_checkpoint_pickles_and_saves(self, objective, tmp_path):
         checkpoints = []
-        greedy_diversify(objective, 4, on_checkpoint=checkpoints.append)
+        greedy_diversify(
+            objective, 4, control=RunControl(on_checkpoint=checkpoints.append)
+        )
         path = str(tmp_path / "ckpt.pkl")
         checkpoints[-1].save(path)
         loaded = SolveCheckpoint.load(path)
@@ -218,10 +239,10 @@ class TestCheckpointResume:
     def test_checkpoint_kind_and_universe_guard(self, objective):
         bad_kind = SolveCheckpoint(kind="sharded", n=objective.n, p=4)
         with pytest.raises(InvalidParameterError):
-            greedy_diversify(objective, 4, resume_from=bad_kind)
+            greedy_diversify(objective, 4, control=RunControl(resume_from=bad_kind))
         bad_n = SolveCheckpoint(kind="greedy", n=objective.n + 1, p=4)
         with pytest.raises(InvalidParameterError):
-            greedy_diversify(objective, 4, resume_from=bad_n)
+            greedy_diversify(objective, 4, control=RunControl(resume_from=bad_n))
 
     def test_sharded_checkpoint_resume_skips_solved_shards(self, instance):
         quality, metric = instance
@@ -232,13 +253,17 @@ class TestCheckpointResume:
             tradeoff=0.8,
             p=6,
             shards=5,
-            checkpoint_every=2,
-            on_checkpoint=checkpoints.append,
+            control=RunControl(checkpoint_every=2, on_checkpoint=checkpoints.append),
         )
         middle = checkpoints[0]
         assert middle.kind == "sharded"
         resumed = solve_sharded(
-            quality, metric, tradeoff=0.8, p=6, shards=5, resume_from=middle
+            quality,
+            metric,
+            tradeoff=0.8,
+            p=6,
+            shards=5,
+            control=RunControl(resume_from=middle),
         )
         assert resumed.selected == full.selected
         assert resumed.metadata["sharding"]["resumed_shards"] == sorted(
@@ -254,7 +279,7 @@ class TestCheckpointResume:
             tradeoff=0.8,
             p=6,
             shards=5,
-            on_checkpoint=checkpoints.append,
+            control=RunControl(on_checkpoint=checkpoints.append),
         )
         with pytest.raises(InvalidParameterError):
             solve_sharded(
@@ -263,7 +288,7 @@ class TestCheckpointResume:
                 tradeoff=0.8,
                 p=6,
                 shards=4,
-                resume_from=checkpoints[0],
+                control=RunControl(resume_from=checkpoints[0]),
             )
 
     def test_solve_rejects_checkpointing_for_non_greedy(self, instance):
@@ -275,8 +300,7 @@ class TestCheckpointResume:
                 tradeoff=0.8,
                 p=4,
                 algorithm="mmr",
-                checkpoint_every=1,
-                on_checkpoint=lambda c: None,
+                control=RunControl(checkpoint_every=1, on_checkpoint=lambda c: None),
             )
 
 
@@ -317,7 +341,7 @@ class TestShardRecovery:
             shards=4,
             max_workers=2,
             executor="process",
-            trace=trace,
+            control=RunControl(trace=trace),
         )
         assert result.metadata["degraded"] is True
         root = next(s for s in trace.spans() if s.name == "solve_sharded")

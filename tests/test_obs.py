@@ -17,6 +17,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.control import RunControl
 from repro.dynamic.events import EventBatch
 from repro.dynamic.perturbation import WeightIncrease
 from repro.dynamic.session import DynamicSession
@@ -221,7 +222,7 @@ class TestInstrumentedSolve:
             instance.metric,
             tradeoff=instance.tradeoff,
             p=5,
-            trace=trace,
+            control=RunControl(trace=trace),
         )
         timings = result.metadata["timings"]
         assert "total" in timings
@@ -243,7 +244,7 @@ class TestInstrumentedSolve:
             tradeoff=instance.tradeoff,
             p=5,
             shards=4,
-            trace=trace,
+            control=RunControl(trace=trace),
         )
         assert "timings" in result.metadata
         events = _load_events(trace, tmp_path, "sharded.json")
@@ -272,7 +273,9 @@ class TestInstrumentedSolve:
         weights = rng.uniform(1.0, 2.0, size=60)
 
         trace = Trace()
-        session = DynamicSession(weights, 6, distances=distances, trace=trace)
+        session = DynamicSession(
+            weights, 6, distances=distances, control=RunControl(trace=trace)
+        )
         for element in (3, 7, 11):
             outcome = session.apply_events(
                 EventBatch.from_perturbations([WeightIncrease(element, 0.1)])

@@ -22,7 +22,10 @@ the kernel layer itself:
   with facility-location quality at n=2000, p=50 (selecting identically) with
   CELF re-evaluating at most 25% of candidates after the first iteration, by
   at least 10× on batched log-det marginal evaluation, and by at least 5× on
-  batched coverage marginal evaluation.
+  batched coverage marginal evaluation,
+* the facility-location swap matrix (owner and runner-up bookkeeping) must
+  beat the protocol's default removal-state loop by at least 5× at n=1000,
+  |S|=40, with gains agreeing to 1e-9.
 """
 
 from __future__ import annotations
@@ -75,8 +78,15 @@ MIN_SHARD_PARITY = 0.95
 SUB_N, SUB_P = 2000, 50
 MIN_SUBMODULAR_SPEEDUP = 10.0
 MIN_COVERAGE_SPEEDUP = 5.0
-COVERAGE_ROUNDS, COVERAGE_BLOCK_S = 7, 0.1
 MAX_CELF_FRACTION = 0.25
+# Each arm of a batched-gains guard is priced by its fastest block of at
+# least GAINS_BLOCK_S over GAINS_ROUNDS alternating rounds: a ~1 ms call
+# timed a handful of times reads timer and scheduler noise.
+GAINS_ROUNDS, GAINS_BLOCK_S = 7, 0.1
+
+# Facility-location swap guard: n=1000 unit-square sites, |S|=40.
+SWAP_N, SWAP_S = 1000, 40
+MIN_FACILITY_SWAP_SPEEDUP = 5.0
 
 
 def _instance(n: int = N, seed: int = 7) -> Objective:
@@ -373,22 +383,22 @@ def test_logdet_gains_speedup(benchmark):
     subset = sorted(map(int, rng.choice(SUB_N, size=20, replace=False)))
     candidates = np.arange(SUB_N)
 
+    members = frozenset(subset)
+
     def batched():
         state = function.gain_state(subset)
         return function.gains(candidates, state)
 
+    def oracle_loop():
+        return np.array([function.marginal(int(u), members) for u in candidates])
+
     batched_gains = benchmark.pedantic(batched, rounds=5, iterations=1)
-    batched_seconds = benchmark.stats.stats.min
+    np.testing.assert_allclose(batched_gains, oracle_loop(), atol=1e-6, rtol=0)
 
-    members = frozenset(subset)
-    reference_seconds = float("inf")
-    for _ in range(2):
-        started = time.perf_counter()
-        reference = np.array([function.marginal(int(u), members) for u in candidates])
-        reference_seconds = min(reference_seconds, time.perf_counter() - started)
-
-    np.testing.assert_allclose(batched_gains, reference, atol=1e-6, rtol=0)
-
+    seconds = interleaved_seconds(
+        [oracle_loop, batched], rounds=GAINS_ROUNDS, min_block_s=GAINS_BLOCK_S
+    )
+    reference_seconds, batched_seconds = seconds.min(axis=0)
     speedup = reference_seconds / max(batched_seconds, 1e-12)
     benchmark.extra_info["n"] = SUB_N
     benchmark.extra_info["subset_size"] = len(subset)
@@ -423,13 +433,11 @@ def test_coverage_gains_speedup(benchmark):
     batched_gains = benchmark.pedantic(batched, rounds=5, iterations=1)
     np.testing.assert_allclose(batched_gains, oracle_loop(), atol=1e-9, rtol=0)
 
-    # A ~1 ms call timed a handful of times reads timer and scheduler noise,
-    # so each arm runs in blocks of at least COVERAGE_BLOCK_S, alternating.
     # The batched matvec runs on the BLAS thread pool, which a busy host slows
     # far more than the single-threaded loop (per-round ratios then swing from
     # 2× to 15×), so each arm is priced by its fastest block.
     seconds = interleaved_seconds(
-        [oracle_loop, batched], rounds=COVERAGE_ROUNDS, min_block_s=COVERAGE_BLOCK_S
+        [oracle_loop, batched], rounds=GAINS_ROUNDS, min_block_s=GAINS_BLOCK_S
     )
     reference_seconds, batched_seconds = seconds.min(axis=0)
     speedup = reference_seconds / max(batched_seconds, 1e-12)
@@ -444,6 +452,47 @@ def test_coverage_gains_speedup(benchmark):
     )
     assert speedup >= MIN_COVERAGE_SPEEDUP, (
         f"batched coverage gains only {speedup:.1f}x faster than the oracle loop"
+    )
+
+
+def test_facility_swap_gains_speedup(benchmark):
+    """Facility-location swap gains ≥5× the default removal-state loop."""
+    from repro.functions.base import SetFunction
+    from repro.functions.facility_location import FacilityLocationFunction
+
+    rng = np.random.default_rng(61)
+    sites = rng.uniform(size=(SWAP_N, 2))
+    distances = np.hypot(*(sites[:, None, :] - sites[None, :, :]).transpose(2, 0, 1))
+    function = FacilityLocationFunction.from_distances(distances)
+    members = frozenset(map(int, rng.choice(SWAP_N, size=SWAP_S, replace=False)))
+    inside, outside = kernels.solution_split(SWAP_N, members)
+
+    def override():
+        return function.swap_gains(function.gain_state(members), outside, inside)
+
+    def default():
+        state = function.gain_state(members)
+        return SetFunction.swap_gains(function, state, outside, inside)
+
+    fast_gains = benchmark.pedantic(override, rounds=5, iterations=1)
+    np.testing.assert_allclose(fast_gains, default(), atol=1e-9, rtol=0)
+
+    seconds = interleaved_seconds(
+        [default, override], rounds=GAINS_ROUNDS, min_block_s=GAINS_BLOCK_S
+    )
+    reference_seconds, fast_seconds = seconds.min(axis=0)
+    speedup = reference_seconds / max(fast_seconds, 1e-12)
+    benchmark.extra_info["n"] = SWAP_N
+    benchmark.extra_info["subset_size"] = SWAP_S
+    benchmark.extra_info["reference_seconds"] = round(reference_seconds, 6)
+    benchmark.extra_info["speedup"] = round(speedup, 1)
+    print(
+        f"\nfacility swap gains n={SWAP_N}, |S|={SWAP_S}: removal-state loop "
+        f"{reference_seconds * 1e3:.1f} ms, owner/runner-up pass "
+        f"{fast_seconds * 1e3:.2f} ms ({speedup:.0f}x)"
+    )
+    assert speedup >= MIN_FACILITY_SWAP_SPEEDUP, (
+        f"facility swap gains only {speedup:.1f}x faster than the default loop"
     )
 
 

@@ -10,8 +10,11 @@ programs, for every metric and every quality function:
   from :meth:`~repro.metrics.base.Metric.distances_from` for pure oracles;
 * **quality** comes from :func:`quality_gains`, the one place the
   modular-or-protocol choice is made: the weight vector when
-  :func:`modular_weights` returns one, the batched marginal-gain protocol of
-  :mod:`repro.functions.base` otherwise;
+  :func:`modular_weights` returns one, otherwise the protocol's
+  :meth:`~repro.functions.base.SetFunction.pair_gains` and
+  :meth:`~repro.functions.base.SetFunction.swap_gains` (of
+  :mod:`repro.functions.base`), which each family answers as one array pass
+  or through the protocol's loop defaults;
 * **feasibility** comes from the matroid's
   :meth:`~repro.matroids.base.Matroid.swap_feasibility` and
   :meth:`~repro.matroids.base.Matroid.pair_feasibility_mask` masks.
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +56,6 @@ __all__ = [
     "pair_argmax",
     "swap_gain_matrix",
     "best_swap_scan_from_gains",
-    "removal_gain_state",
 ]
 
 #: Pool rows scored per block by :func:`pair_argmax`.  Bounds the pair
@@ -114,46 +116,33 @@ def quality_gains(
     incoming: Iterable[Element],
     anchors: Iterable[Element],
     *,
-    selected: Optional[Iterable[Element]] = None,
-    removal: Optional[Dict[Element, Tuple[GainState, float]]] = None,
+    state: Optional[GainState] = None,
 ) -> np.ndarray:
     """Quality part ``Q[i, j]`` of the pair and swap scores.
 
-    * **Pair scores** (``selected`` omitted):
+    * **Pair scores** (``state`` omitted):
       ``Q[i, j] = f({incoming[i], anchors[j]})`` — ``w(u) + w(x)`` for
-      modular quality, ``f({x}) + f_u({x})`` through one gain state per
-      anchor otherwise.
-    * **Swap scores** (``selected`` = the solution ``S``):
+      modular quality, :meth:`~repro.functions.base.SetFunction.pair_gains`
+      otherwise.
+    * **Swap scores** (``state`` a gain state of the solution ``S``):
       ``Q[i, j] = f(S − anchors[j] + incoming[i]) − f(S)`` — ``w(u) − w(v)``
-      for modular quality, ``f_u(S − v) − f_v(S − v)`` through one
-      :func:`removal_gain_state` per anchor otherwise.  ``removal``
-      optionally caches those states across calls for the same ``S``; it is
-      filled on demand.
+      for modular quality, :meth:`~repro.functions.base.SetFunction.swap_gains`
+      otherwise.  What the family derives from ``S`` is cached on ``state``,
+      so repeated scans against an unchanged ``S`` reuse it.
 
     ``weights`` is :func:`modular_weights` of ``quality`` (``None`` selects
-    the protocol); with ``weights`` given ``quality`` is never consulted.
+    the protocol); with ``weights`` given ``quality`` is never consulted and
+    any :class:`~repro.functions.base.GainState` of ``S`` marks a swap.
     """
     incoming = np.asarray(incoming, dtype=int)
     anchors = np.asarray(anchors, dtype=int)
     if weights is not None:
-        if selected is None:
+        if state is None:
             return weights[incoming][:, None] + weights[anchors][None, :]
         return weights[incoming][:, None] - weights[anchors][None, :]
-    out = np.empty((incoming.size, anchors.size), dtype=float)
-    if selected is None:
-        singletons = quality.gains(anchors, quality.gain_state())
-        for j, anchor in enumerate(anchors.tolist()):
-            state = quality.gain_state((anchor,))
-            out[:, j] = quality.gains(incoming, state) + singletons[j]
-        return out
-    cache = {} if removal is None else removal
-    for j, anchor in enumerate(anchors.tolist()):
-        entry = cache.get(anchor)
-        if entry is None:
-            entry = cache[anchor] = removal_gain_state(quality, selected, anchor)
-        state, base = entry
-        out[:, j] = quality.gains(incoming, state) - base
-    return out
+    if state is None:
+        return quality.pair_gains(incoming, anchors)
+    return quality.swap_gains(state, incoming, anchors)
 
 
 def solution_split(
@@ -312,20 +301,3 @@ def best_swap_scan_from_gains(
     if not best > threshold:
         return None
     return int(incoming[i]), int(outgoing[j]), best
-
-
-def removal_gain_state(quality: SetFunction, selected: Iterable[Element],
-                       outgoing: Element):
-    """Gain state for ``S − outgoing`` plus the base gain ``f_v(S − v)``.
-
-    The one identity behind every protocol-backed swap evaluation (local
-    search scans, streaming arrivals, the dynamic update rule):
-
-    ``f(S − v + u) − f(S) = f_u(S − v) − f_v(S − v) = gains(u, state) − base``
-
-    so callers get the quality part of any swap against ``outgoing`` from a
-    single batched-gains call.  Returns ``(state, base)``.
-    """
-    state = quality.gain_state(set(selected) - {outgoing})
-    base = float(quality.gains((outgoing,), state)[0])
-    return state, base

@@ -121,8 +121,9 @@ def _scan_swaps(
     with the distance marginals read from the tracker's view, the cross
     distances from one :meth:`~repro.metrics.base.Metric.block`, the quality
     part from :func:`~repro.core.kernels.quality_gains` (``weights`` for
-    modular quality, one removal state per outgoing element otherwise) and
-    the mask from :meth:`~repro.matroids.base.Matroid.swap_feasibility`.
+    modular quality, the family's ``swap_gains`` against a gain state of
+    ``S`` otherwise) and the mask from
+    :meth:`~repro.matroids.base.Matroid.swap_feasibility`.
     Returns ``(incoming, outgoing, gain)`` with ``gain > threshold``, or
     ``None``.
     """
@@ -130,7 +131,11 @@ def _scan_swaps(
     if inside.size == 0 or outside.size == 0:
         return None
     quality_gain = kernels.quality_gains(
-        objective.quality, weights, outside, inside, selected=selected
+        objective.quality,
+        weights,
+        outside,
+        inside,
+        state=objective.make_quality_state(selected),
     )
     gains = kernels.swap_gain_matrix(
         quality_gain,

@@ -22,20 +22,22 @@ The arrival rule scores all ``p`` candidate swaps as one array: distances
 from one :meth:`~repro.metrics.base.Metric.block` row plus a maintained
 vector of internal distance marginals ``d_v(S)``, quality from
 :func:`repro.core.kernels.quality_gains` — the weight vector for modular
-quality, and otherwise one removal state per solution member
-(``f(S − v + e) − f(S) = f_e(S − v) − f_v(S − v)``) built lazily and reused
+quality, and otherwise the family's
+:meth:`~repro.functions.base.SetFunction.swap_gains` against one gain state
+of the solution, whose per-solution swap cache (the default's removal states,
+facility location's owner and runner-up vectors) is built lazily and reused
 across arrivals until the solution changes.  An arrival therefore costs O(p)
-distances and O(p) single-candidate gains calls instead of 2·p value-oracle
-evaluations with their O(p²) dispersion recomputations.  (The removal states
-add O(state) memory per member — e.g. O(n) for facility location — traded
-for the per-arrival oracle work.)
+distances and one ``1 × p`` swap-gain row instead of 2·p value-oracle
+evaluations with their O(p²) dispersion recomputations.  (The cache adds
+O(state) memory — up to O(n) per member for the default — traded for the
+per-arrival oracle work.)
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,9 +80,6 @@ class StreamingDiversifier:
     # Solution-dependent state, built lazily and invalidated when the
     # solution changes:
     _qstate: Optional[GainState] = field(default=None, init=False, repr=False)
-    _removal: Dict[Element, Tuple[GainState, float]] = field(
-        default_factory=dict, init=False, repr=False
-    )
     _margins: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _interrupted: bool = field(default=False, init=False, repr=False)
 
@@ -140,7 +139,6 @@ class StreamingDiversifier:
     def _invalidate(self) -> None:
         self._qstate = None
         self._margins = None
-        self._removal.clear()
 
     # ------------------------------------------------------------------
     # Stream processing
@@ -164,7 +162,6 @@ class StreamingDiversifier:
             quality.push(state, element)
             self._selected.append(element)
             self._margins = None
-            self._removal.clear()
             self._value += gain
             return True
         # Full: all p candidate swaps of the arriving element in one array.
@@ -173,8 +170,7 @@ class StreamingDiversifier:
             self._weights,
             (element,),
             self._selected,
-            selected=self._selected,
-            removal=self._removal,
+            state=self._ensure_qstate(),
         )[0]
         gains = quality_gain + tradeoff * ((row.sum() - row) - self._ensure_margins())
         best_idx = int(np.argmax(gains))

@@ -58,6 +58,7 @@ from repro.dynamic.update_rules import (
     required_updates_for_weight_decrease,
 )
 from repro.exceptions import InvalidParameterError, PerturbationError
+from repro.functions.base import GainState
 from repro.functions.modular import ModularFunction
 from repro.metrics.matrix import DistanceMatrix, GrowableDistanceMatrix
 from repro.obs.instrument import TICK_CERTIFICATES, maybe_span
@@ -491,7 +492,11 @@ class DynamicDiversifier:
                 if dirty.size and inside.size:
                     dirty_gains = kernels.swap_gain_matrix(
                         kernels.quality_gains(
-                            None, weights, dirty, inside, selected=self._solution
+                            None,
+                            weights,
+                            dirty,
+                            inside,
+                            state=GainState(self._solution),
                         ),
                         matrix[np.ix_(dirty, inside)],
                         self._tradeoff,
@@ -521,7 +526,7 @@ class DynamicDiversifier:
                 break
             gains = kernels.swap_gain_matrix(
                 kernels.quality_gains(
-                    None, weights, outside, inside, selected=self._solution
+                    None, weights, outside, inside, state=GainState(self._solution)
                 ),
                 matrix[np.ix_(outside, inside)],
                 self._tradeoff,

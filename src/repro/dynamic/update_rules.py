@@ -101,7 +101,11 @@ def best_swap(
     distances = objective.metric.block(np.arange(objective.n), inside)
     quality = objective.quality
     quality_gain = kernels.quality_gains(
-        quality, kernels.modular_weights(quality), outside, inside, selected=solution
+        quality,
+        kernels.modular_weights(quality),
+        outside,
+        inside,
+        state=quality.gain_state(solution),
     )
     gains = kernels.swap_gain_matrix(
         quality_gain,

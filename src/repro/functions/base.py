@@ -7,16 +7,21 @@ plus the *stateful batched marginal-gain protocol* the solvers' fast paths
 use: :meth:`SetFunction.gain_state` builds incremental state for a subset,
 :meth:`SetFunction.gains` evaluates the marginals of a whole candidate batch
 against that state at once, and :meth:`SetFunction.push` grows the state by
-one selected element without recomputing it from scratch.  The base-class
-protocol falls back to per-candidate :meth:`marginal` loops, so any oracle
-function keeps working; the built-in families override it with vectorized
-incremental implementations (see the README's "Submodular fast path").
+one selected element without recomputing it from scratch.  Two more
+methods score the moves of the pair and swap scans: :meth:`SetFunction.pair_gains`
+gives ``f({x, y})`` for a block of pairs and :meth:`SetFunction.swap_gains`
+gives ``f(S − v + u) − f(S)`` for a block of swaps against a state of ``S``.
+The base-class protocol falls back to per-candidate :meth:`marginal` loops
+(and the swap default to one :func:`removal_gain_state` per outgoing
+element), so any oracle function keeps working; the built-in families
+override it with vectorized incremental implementations (see the README's
+"Submodular fast path").
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Iterable, Optional, Sequence, Union
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,12 +37,19 @@ class GainState:
     Cholesky factor, ...).  States are owned by exactly one selection run:
     they are mutated in place by :meth:`SetFunction.push` and must not be
     shared across concurrent solves.
+
+    ``swap_cache`` holds whatever a family derives from the member set to
+    answer :meth:`SetFunction.swap_gains` (the default's removal states,
+    facility location's owner and second-best vectors).  It is built on the
+    first swap query and dropped by :meth:`SetFunction.push`, so repeated
+    queries against an unchanged set reuse it.
     """
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "swap_cache")
 
     def __init__(self, subset: Iterable[Element] = ()) -> None:
         self.members = set(subset)
+        self.swap_cache: object = None
 
     def member_indices(self) -> np.ndarray:
         """The current members as an (unordered) integer index array."""
@@ -141,7 +153,52 @@ class SetFunction(ABC):
                 f"element {element} is already in the gain state"
             )
         state.members.add(element)
+        state.swap_cache = None
         return state
+
+    def pair_gains(self, incoming: Candidates, anchors: Candidates) -> np.ndarray:
+        """Return ``P[i, j] = f({incoming[i], anchors[j]})``.
+
+        The quality part of the pair scores (Greedy B's best-pair start and
+        the local-search initial pair).  ``incoming[i] == anchors[j]`` gives
+        ``f({x})``.  The default builds one ``{x}`` gain state per anchor and
+        answers each column with one :meth:`gains` call.
+        """
+        incoming = np.asarray(incoming, dtype=int)
+        anchors = np.asarray(anchors, dtype=int)
+        out = np.empty((incoming.size, anchors.size), dtype=float)
+        singletons = self.gains(anchors, self.gain_state())
+        for j, anchor in enumerate(anchors.tolist()):
+            out[:, j] = self.gains(incoming, self.gain_state((anchor,))) + singletons[j]
+        return out
+
+    def swap_gains(
+        self, state: GainState, incoming: Candidates, outgoing: Candidates
+    ) -> np.ndarray:
+        """Return ``G[i, j] = f(S − outgoing[j] + incoming[i]) − f(S)``.
+
+        ``S`` is ``state.members`` and ``outgoing`` any subset of it.  The
+        quality part of the swap scores (the local-search scan, the dynamic
+        update rule and streaming arrivals).  The default answers column
+        ``j`` with one :meth:`gains` call against the
+        :func:`removal_gain_state` of ``outgoing[j]``; those states are kept
+        in ``state.swap_cache`` until the set changes.
+        """
+        incoming = np.asarray(incoming, dtype=int)
+        outgoing = np.asarray(outgoing, dtype=int)
+        if not isinstance(state.swap_cache, dict):
+            state.swap_cache = {}
+        removal: Dict[Element, Tuple[GainState, float]] = state.swap_cache
+        out = np.empty((incoming.size, outgoing.size), dtype=float)
+        for j, element in enumerate(outgoing.tolist()):
+            entry = removal.get(element)
+            if entry is None:
+                entry = removal[element] = removal_gain_state(
+                    self, state.members, element
+                )
+            removed, base = entry
+            out[:, j] = self.gains(incoming, removed) - base
+        return out
 
     # ------------------------------------------------------------------
     # Declared structure (used by solvers to pick valid algorithms and by
@@ -221,3 +278,20 @@ class SetFunction(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n})"
+
+
+def removal_gain_state(
+    quality: SetFunction, selected: Iterable[Element], outgoing: Element
+) -> Tuple[GainState, float]:
+    """Gain state for ``S − outgoing`` plus the base gain ``f_v(S − v)``.
+
+    The identity behind the default :meth:`SetFunction.swap_gains`:
+
+    ``f(S − v + u) − f(S) = f_u(S − v) − f_v(S − v) = gains(u, state) − base``
+
+    so the quality part of any swap against ``outgoing`` is one batched-gains
+    call.  Returns ``(state, base)``.
+    """
+    state = quality.gain_state(set(selected) - {outgoing})
+    base = float(quality.gains((outgoing,), state)[0])
+    return state, base

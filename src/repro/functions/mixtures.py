@@ -60,6 +60,16 @@ class ScaledFunction(SetFunction):
         self._function.push(state.children[0], element)
         return state
 
+    def pair_gains(self, incoming: Candidates, anchors: Candidates) -> np.ndarray:
+        return self._scale * self._function.pair_gains(incoming, anchors)
+
+    def swap_gains(
+        self, state: _CompositeGainState, incoming: Candidates, outgoing: Candidates
+    ) -> np.ndarray:
+        return self._scale * self._function.swap_gains(
+            state.children[0], incoming, outgoing
+        )
+
     @property
     def is_modular(self) -> bool:
         return self._function.is_modular
@@ -155,6 +165,22 @@ class MixtureFunction(SetFunction):
         for function, child in zip(self._functions, state.children):
             function.push(child, element)
         return state
+
+    def pair_gains(self, incoming: Candidates, anchors: Candidates) -> np.ndarray:
+        return sum(
+            weight * function.pair_gains(incoming, anchors)
+            for weight, function in zip(self._weights, self._functions)
+        )
+
+    def swap_gains(
+        self, state: _CompositeGainState, incoming: Candidates, outgoing: Candidates
+    ) -> np.ndarray:
+        return sum(
+            weight * function.swap_gains(child, incoming, outgoing)
+            for weight, function, child in zip(
+                self._weights, self._functions, state.children
+            )
+        )
 
     @property
     def is_modular(self) -> bool:

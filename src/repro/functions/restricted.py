@@ -95,6 +95,21 @@ class RestrictedSetFunction(SetFunction):
         self._parent.push(state.parent_state, self._globals[element])
         return state
 
+    def pair_gains(self, incoming: Candidates, anchors: Candidates) -> np.ndarray:
+        return self._parent.pair_gains(
+            self._globals_array[np.asarray(incoming, dtype=int)],
+            self._globals_array[np.asarray(anchors, dtype=int)],
+        )
+
+    def swap_gains(
+        self, state: _RestrictedGainState, incoming: Candidates, outgoing: Candidates
+    ) -> np.ndarray:
+        return self._parent.swap_gains(
+            state.parent_state,
+            self._globals_array[np.asarray(incoming, dtype=int)],
+            self._globals_array[np.asarray(outgoing, dtype=int)],
+        )
+
     @property
     def is_modular(self) -> bool:
         return self._parent.is_modular

@@ -11,12 +11,12 @@ Appendix's bad instance for the greedy algorithm.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro._types import Element
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, NotIndependentError
 from repro.matroids.base import Matroid
 from repro.utils.validation import check_candidate_pool
 
@@ -89,6 +89,38 @@ class PartitionMatroid(Matroid):
             return False
         usage = Counter(self._block_of[e] for e in members)
         return all(count <= self.capacity(label) for label, count in usage.items())
+
+    def extend_to_basis(
+        self,
+        subset: Iterable[Element],
+        *,
+        preference: Optional[Iterable[Element]] = None,
+    ) -> FrozenSet[Element]:
+        """The base greedy extension in closed form: one walk of the preference.
+
+        Each block's remaining room is counted once, and a preferred element
+        joins while its block has room, which is what the base loop's
+        ``is_independent`` calls decide.  Out-of-range and repeated entries
+        are skipped, as there.
+        """
+        current = set(subset)
+        if not self.is_independent(current):
+            raise NotIndependentError(
+                f"cannot extend a dependent set to a basis: {sorted(current)}"
+            )
+        codes = self._codes.tolist()
+        room = dict(zip(codes, self._element_capacity.tolist()))
+        for element in current:
+            room[codes[element]] -= 1
+        n = self.n
+        for element in range(n) if preference is None else preference:
+            if element in current or not 0 <= element < n:
+                continue
+            code = codes[element]
+            if room[code] > 0:
+                room[code] -= 1
+                current.add(element)
+        return frozenset(current)
 
     def rank(self, subset: Optional[Iterable[Element]] = None) -> int:
         if subset is None:

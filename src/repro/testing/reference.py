@@ -17,6 +17,7 @@ import numpy as np
 
 from repro._types import Element
 from repro.core import kernels
+from repro.functions.base import removal_gain_state
 from repro.matroids.base import Matroid
 from repro.metrics.base import Metric
 
@@ -130,7 +131,7 @@ def scan_swaps_reference(
                 quality_gain = float(weights[incoming] - weights[outgoing])
             else:
                 if outgoing not in removal_states:
-                    removal_states[outgoing] = kernels.removal_gain_state(
+                    removal_states[outgoing] = removal_gain_state(
                         quality, selected, outgoing
                     )
                 state, base = removal_states[outgoing]

@@ -30,6 +30,7 @@ from repro.dynamic.perturbation import (
     WeightIncrease,
 )
 from repro.exceptions import PerturbationError
+from repro.functions.base import GainState
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -216,7 +217,9 @@ class TestMultiEventTicks:
         inside, outside = kernels.solution_split(engine.n, engine.solution)
         margins = kernels.set_margins(matrix, inside)
         gains = kernels.swap_gain_matrix(
-            kernels.quality_gains(None, w, outside, inside, selected=engine.solution),
+            kernels.quality_gains(
+                None, w, outside, inside, state=GainState(engine.solution)
+            ),
             matrix[np.ix_(outside, inside)],
             engine.tradeoff,
             margins,

@@ -4,7 +4,9 @@ For every built-in family (and the generic fallback), batched
 ``gains(candidates, gain_state(S))`` must equal the looped ``marginal(u, S)``
 to 1e-9 on random subsets — including candidates already inside ``S`` (whose
 gain is 0 by definition) — and ``push`` must keep a state equivalent to a
-freshly built one.
+freshly built one.  The scan scores ``swap_gains`` and ``pair_gains`` must
+equal ``f(S − v + u) − f(S)`` and ``f({x, y})`` from ``value``, also after a
+``push`` has changed the set behind a cached swap query.
 """
 
 from __future__ import annotations
@@ -159,6 +161,111 @@ class TestBatchedGainsEquivalence:
         # The failed push must not have corrupted the state.
         gains = function.gains(np.array([1, 2]), state)
         np.testing.assert_allclose(gains, np.zeros(2), atol=TOLERANCE, rtol=0)
+
+
+def _swap_reference(function: SetFunction, subset, incoming, outgoing) -> np.ndarray:
+    members = frozenset(subset)
+    base = function.value(members)
+    return np.array(
+        [
+            [function.value((members - {v}) | {u}) - base for v in outgoing]
+            for u in incoming
+        ]
+    )
+
+
+class TestSwapAndPairGains:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_swap_gains_match_value(self, function, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = function.n
+        for size in (1, 2, 6):
+            subset = _random_subset(rng, n, size)
+            # Incoming mixes outside elements with members; outgoing is every
+            # member, in a random order.
+            incoming = rng.choice(n, size=10, replace=False)
+            outgoing = rng.permutation(sorted(subset))
+            state = function.gain_state(subset)
+            got = function.swap_gains(state, incoming, outgoing)
+            np.testing.assert_allclose(
+                got,
+                _swap_reference(function, subset, incoming, outgoing),
+                atol=TOLERANCE,
+                rtol=0,
+            )
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_pair_gains_match_value(self, function, seed):
+        rng = np.random.default_rng(400 + seed)
+        n = function.n
+        incoming = rng.choice(n, size=12, replace=False)
+        anchors = np.concatenate([incoming[:2], rng.choice(n, size=4, replace=False)])
+        got = function.pair_gains(incoming, anchors)
+        expected = np.array(
+            [[function.value({int(u), int(x)}) for x in anchors] for u in incoming]
+        )
+        np.testing.assert_allclose(got, expected, atol=TOLERANCE, rtol=0)
+
+    def test_push_drops_swap_cache(self, function):
+        rng = np.random.default_rng(500)
+        n = function.n
+        subset = set(_random_subset(rng, n, 4))
+        state = function.gain_state(subset)
+        incoming = np.array([u for u in range(n) if u not in subset])
+        function.swap_gains(state, incoming, sorted(subset))
+        added = int(incoming[0])
+        function.push(state, added)
+        subset.add(added)
+        got = function.swap_gains(state, incoming[1:], sorted(subset))
+        np.testing.assert_allclose(
+            got,
+            _swap_reference(function, subset, incoming[1:], sorted(subset)),
+            atol=TOLERANCE,
+            rtol=0,
+        )
+
+    def test_empty_batches(self, function):
+        state = function.gain_state({0, 1})
+        none = np.zeros(0, dtype=int)
+        assert function.swap_gains(state, none, [0, 1]).shape == (0, 2)
+        assert function.swap_gains(state, [2, 3], none).shape == (2, 0)
+        assert function.pair_gains(none, [0]).shape == (0, 1)
+
+
+class TestFacilitySwapEdgeCases:
+    """The owner / runner-up bookkeeping against ``value`` on corner sets."""
+
+    @staticmethod
+    def _check(function, subset, outgoing) -> None:
+        n = function.n
+        incoming = np.arange(n)
+        state = function.gain_state(subset)
+        got = function.swap_gains(state, incoming, outgoing)
+        expected = _swap_reference(function, subset, incoming, outgoing)
+        np.testing.assert_allclose(got, expected, atol=TOLERANCE, rtol=0)
+
+    def test_single_member(self):
+        function = FacilityLocationFunction(_similarity(np.random.default_rng(1)))
+        self._check(function, {7}, [7])
+
+    def test_tied_members(self):
+        similarity = _similarity(np.random.default_rng(2))
+        # Elements 3 and 9 serve every client equally well.
+        similarity[:, 9] = similarity[:, 3]
+        function = FacilityLocationFunction(similarity)
+        self._check(function, {3, 9, 20}, [3, 9, 20])
+        self._check(function, {3, 9}, [9, 3])
+
+    def test_zero_similarity_column(self):
+        similarity = _similarity(np.random.default_rng(3))
+        similarity[:, 5] = 0.0
+        function = FacilityLocationFunction(similarity)
+        self._check(function, {5, 11, 30}, [5, 11, 30])
+        self._check(function, {5}, [5])
+
+    def test_outgoing_strict_subset(self):
+        function = FacilityLocationFunction(_similarity(np.random.default_rng(4)))
+        self._check(function, {2, 8, 15, 27, 33}, [27, 2])
 
 
 class TestGainStateBasics:

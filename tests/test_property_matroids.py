@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import NotIndependentError
 from repro.matroids.base import Matroid
 from repro.matroids.exchange import exchange_bijection
 from repro.matroids.graphic import GraphicMatroid
@@ -134,3 +135,43 @@ class TestMatroidAxiomsProperty:
         assert set(mapping.values()) == set(basis_b) - set(basis_a)
         for x, y in mapping.items():
             assert matroid.is_independent((set(basis_a) - {x}) | {y})
+
+
+_labels = st.one_of(st.integers(0, 3), st.sampled_from(["a", "b", "c"]))
+
+
+@st.composite
+def _partition_extensions(draw):
+    """A partition matroid, a start set and a preference for extend_to_basis.
+
+    Labels mix ints and strings; capacities include 0 and leave some labels
+    out (capacity 1).  Starts may be dependent or out of range, and
+    preferences may be ``None``, a permutation, or a list with repeated and
+    out-of-range entries.
+    """
+    n = draw(st.integers(0, 10))
+    block_of = draw(st.lists(_labels, min_size=n, max_size=n))
+    capacities = draw(st.dictionaries(_labels, st.integers(0, 3), max_size=5))
+    start = draw(st.sets(st.integers(-1, n), max_size=4))
+    preference = draw(
+        st.one_of(
+            st.none(),
+            st.permutations(list(range(n))),
+            st.lists(st.integers(-2, n + 2), max_size=2 * n + 4),
+        )
+    )
+    return PartitionMatroid(block_of, capacities), start, preference
+
+
+class TestPartitionExtendToBasis:
+    @given(case=_partition_extensions())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_base_loop(self, case):
+        matroid, start, preference = case
+        try:
+            expected = Matroid.extend_to_basis(matroid, start, preference=preference)
+        except NotIndependentError:
+            with pytest.raises(NotIndependentError):
+                matroid.extend_to_basis(start, preference=preference)
+            return
+        assert matroid.extend_to_basis(start, preference=preference) == expected

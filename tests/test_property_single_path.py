@@ -4,11 +4,14 @@ Small random instances on an oracle-only metric — only ``distance`` is
 implemented, so distances reach the scans through the base
 :meth:`~repro.metrics.base.Metric.block` default — under uniform, partition,
 graphic, transversal, restricted and truncated matroids, each with modular
-and facility-location quality.  The local-search swap scan and initial pair,
-Greedy B's pair seeding, the dynamic update rule and the streaming arrival
-rule must pick the same move as the loops of :mod:`repro.testing.reference`,
-with gains within 1e-9.  The base-class feasibility masks must equal what
-``swap_candidates`` / ``is_independent`` say, entry by entry.
+quality, facility-location quality, and a composed quality (a mixture holding
+a scaled facility location on a restricted pool) whose swap and pair scores
+reach facility location through every forwarding layer.  The local-search
+swap scan and initial pair, Greedy B's pair seeding, the dynamic update rule
+and the streaming arrival rule must pick the same move as the loops of
+:mod:`repro.testing.reference`, with gains within 1e-9.  The base-class
+feasibility masks must equal what ``swap_candidates`` / ``is_independent``
+say, entry by entry.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.core.objective import Objective
 from repro.core.streaming import StreamingDiversifier
 from repro.dynamic.update_rules import best_swap
 from repro.functions.facility_location import FacilityLocationFunction
+from repro.functions.mixtures import MixtureFunction, ScaledFunction
 from repro.functions.modular import ModularFunction
 from repro.matroids.base import Matroid
 from repro.matroids.graphic import GraphicMatroid
@@ -47,7 +51,7 @@ from repro.testing.reference import (
 
 seeds = st.integers(min_value=0, max_value=100_000)
 TOLERANCE = 1e-9
-QUALITIES = ("modular", "facility")
+QUALITIES = ("modular", "facility", "composed")
 
 
 class BipartiteMatchingMatroid(Matroid):
@@ -147,8 +151,18 @@ def _objective(rng, n: int, quality: str) -> Objective:
     metric = OracleOnlyMetric(DistanceMatrix.from_points(rng.normal(size=(n, 3))))
     if quality == "modular":
         function = ModularFunction(rng.uniform(0.0, 5.0, size=n))
-    else:
+    elif quality == "facility":
         function = FacilityLocationFunction(rng.uniform(0.0, 1.0, size=(n, n)))
+    else:
+        facility = FacilityLocationFunction(rng.uniform(0.0, 1.0, size=(n + 4, n + 4)))
+        pool = rng.permutation(n + 4)[:n].tolist()
+        function = MixtureFunction(
+            [
+                ScaledFunction(facility.restrict(pool), 1.5),
+                ModularFunction(rng.uniform(0.0, 2.0, size=n)),
+            ],
+            [0.6, 0.8],
+        )
     return Objective(function, metric, float(rng.uniform(0.2, 2.0)))
 
 

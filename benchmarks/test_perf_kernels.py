@@ -433,9 +433,6 @@ def test_coverage_gains_speedup(benchmark):
     batched_gains = benchmark.pedantic(batched, rounds=5, iterations=1)
     np.testing.assert_allclose(batched_gains, oracle_loop(), atol=1e-9, rtol=0)
 
-    # The batched matvec runs on the BLAS thread pool, which a busy host slows
-    # far more than the single-threaded loop (per-round ratios then swing from
-    # 2× to 15×), so each arm is priced by its fastest block.
     seconds = interleaved_seconds(
         [oracle_loop, batched], rounds=GAINS_ROUNDS, min_block_s=GAINS_BLOCK_S
     )
@@ -447,7 +444,7 @@ def test_coverage_gains_speedup(benchmark):
     benchmark.extra_info["speedup"] = round(speedup, 1)
     print(
         f"\ncoverage marginals n={SUB_N}, |S|={SUB_P}: oracle loop "
-        f"{reference_seconds * 1e3:.1f} ms, incidence batch "
+        f"{reference_seconds * 1e3:.1f} ms, CSR batch "
         f"{batched_seconds * 1e3:.2f} ms ({speedup:.0f}x)"
     )
     assert speedup >= MIN_COVERAGE_SPEEDUP, (

@@ -68,10 +68,13 @@ from repro.obs.instrument import TICK_CERTIFICATES, maybe_span
 #: ``history_limit=None`` for the old unbounded behaviour.
 DEFAULT_HISTORY_LIMIT = 1024
 
+#: Swap gains within this of zero are floating-point noise.  The repair scan
+#: accepts only swaps gaining more than it, so two tied solutions cannot trade
+#: places back and forth on rounding error until the update budget runs out.
 #: A swap-gain upper bound must be at least this far below zero for the
 #: no-swap certificate to fire; anything closer falls back to the exact
 #: full scan, so certificate floating-point noise can never change a result.
-_CERTIFICATE_TOLERANCE = 1e-9
+_GAIN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -506,7 +509,7 @@ class DynamicDiversifier:
                     )
                     dirty_col = dirty_gains.max(axis=0)
                     best_bound = max(best_bound, float(dirty_col.max()))
-                if best_bound <= -_CERTIFICATE_TOLERANCE:
+                if best_bound <= -_GAIN_TOLERANCE:
                     self._set_cache(
                         inside,
                         np.maximum(shifted, dirty_col)
@@ -534,7 +537,9 @@ class DynamicDiversifier:
                 outside,
                 inside,
             )
-            move = kernels.best_swap_scan_from_gains(gains, outside, inside)
+            move = kernels.best_swap_scan_from_gains(
+                gains, outside, inside, threshold=_GAIN_TOLERANCE
+            )
             if move is None:
                 self._set_cache(inside, gains.max(axis=0))
                 break
@@ -631,7 +636,8 @@ class DynamicDiversifier:
         This routes through the same code path as :meth:`apply_events`, and
         reproduces the sequential update rule exactly: the repair phase
         either *certifies* that no improving swap exists or runs the same
-        vectorized full scan the legacy rule runs.
+        vectorized full scan the legacy rule runs, except that a swap must
+        gain more than floating-point noise (``1e-9``) to be made.
         """
         batch = EventBatch.from_perturbations([perturbation])
         return self._tick(committable(self, batch, updates), perturbation)

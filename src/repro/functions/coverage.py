@@ -8,17 +8,14 @@ many query aspects, the scenario the paper's introduction motivates
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Set
+from itertools import chain
+from typing import Dict, Iterable, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro._types import Element
 from repro.exceptions import InvalidParameterError
 from repro.functions.base import Candidates, GainState, SetFunction
-
-#: Largest ``n × num_topics`` incidence matrix (in entries) the batched-gains
-#: path will materialize; bigger instances use the per-candidate index path.
-_INCIDENCE_LIMIT = 64_000_000
 
 
 class _CoverageGainState(GainState):
@@ -53,7 +50,8 @@ class CoverageFunction(SetFunction):
         self._weights = weights
         # Dense re-indexing of the (arbitrary) topic identifiers, backing the
         # batched-gains path: topic id -> position in [0, T), per-topic weight
-        # array, and per-element dense-index arrays.
+        # array, and the elements' dense topic indices in CSR form (element
+        # u's are ``_topic_flat[_topic_offsets[u]:_topic_offsets[u + 1]]``).
         # First-seen dedupe, not sorted(): topic ids are arbitrary hashables
         # and need not be mutually orderable.  Gains are weight sums, so the
         # internal index assignment order never affects results.
@@ -64,24 +62,14 @@ class CoverageFunction(SetFunction):
         self._topic_weight_array = np.array(
             [self._weight(t) for t in topic_ids], dtype=float
         )
-        self._element_topic_idx: List[np.ndarray] = [
-            np.fromiter(
-                sorted(topic_index[t] for t in topics), dtype=int, count=len(topics)
-            )
-            for topics in self._topics
+        topic_lists = [
+            sorted(topic_index[t] for t in topics) for topics in self._topics
         ]
+        self._topic_offsets = np.cumsum([0] + [len(idx) for idx in topic_lists])
+        self._topic_flat = np.fromiter(
+            chain.from_iterable(topic_lists), dtype=int, count=self._topic_offsets[-1]
+        )
         self._num_topic_ids = len(topic_ids)
-        # Dense element×topic incidence (capped so pathological topic
-        # universes do not explode memory; ``None`` beyond the cap and the
-        # per-candidate index path serves gains instead).  Built eagerly so
-        # ``gains`` is a pure read — the ``parallel_safe`` contract.
-        if self.n * self._num_topic_ids <= _INCIDENCE_LIMIT:
-            incidence = np.zeros((self.n, self._num_topic_ids), dtype=bool)
-            for element, topic_idx in enumerate(self._element_topic_idx):
-                incidence[element, topic_idx] = True
-            self._incidence: np.ndarray | None = incidence
-        else:
-            self._incidence = None
 
     @property
     def n(self) -> int:
@@ -118,33 +106,40 @@ class CoverageFunction(SetFunction):
     def gain_state(self, subset=()) -> _CoverageGainState:
         """O(Σ|topics|) state build: the covered-topic mask of the subset."""
         state = _CoverageGainState(subset)
-        covered = np.zeros(self._num_topic_ids, dtype=bool)
-        for element in state.members:
-            covered[self._element_topic_idx[element]] = True
-        state.covered = covered
+        positions, _ = self._topic_positions(state.member_indices())
+        state.covered = np.zeros(self._num_topic_ids, dtype=bool)
+        state.covered[self._topic_flat[positions]] = True
         return state
 
     def gains(self, candidates: Candidates, state: _CoverageGainState) -> np.ndarray:
-        """Batch gains: uncovered-incidence × weights (one masked matvec)."""
+        """Batch gains in O(Σ|topics(u)|): the candidates' topic indices are
+        gathered from the CSR arrays, each mapped to its weight when still
+        uncovered (0 otherwise), and summed per candidate with one
+        ``np.bincount``."""
         idx = np.asarray(candidates, dtype=int)
-        if idx.size == 0:
-            return np.zeros(0, dtype=float)
-        incidence = self._incidence
-        if incidence is not None:
-            fresh = incidence[idx] & ~state.covered[None, :]
-            return fresh.astype(float) @ self._topic_weight_array
-        out = np.empty(idx.size, dtype=float)
-        weights, covered = self._topic_weight_array, state.covered
-        for i, u in enumerate(idx):
-            topic_idx = self._element_topic_idx[u]
-            out[i] = weights[topic_idx[~covered[topic_idx]]].sum()
-        return out
+        positions, lengths = self._topic_positions(idx)
+        uncovered = np.where(state.covered, 0.0, self._topic_weight_array)
+        return np.bincount(
+            np.repeat(np.arange(idx.size), lengths),
+            weights=uncovered[self._topic_flat[positions]],
+            minlength=idx.size,
+        ).astype(float, copy=False)
 
     def push(self, state: _CoverageGainState, element: Element) -> _CoverageGainState:
         """O(|topics(element)|) incremental update of the covered mask."""
         super().push(state, element)
-        state.covered[self._element_topic_idx[element]] = True
+        offsets = self._topic_offsets
+        state.covered[self._topic_flat[offsets[element] : offsets[element + 1]]] = True
         return state
+
+    def _topic_positions(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Positions in ``_topic_flat`` of the topics of ``idx``, element by
+        element, and each element's topic count."""
+        starts = self._topic_offsets[idx]
+        lengths = self._topic_offsets[idx + 1] - starts
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if ends.size else 0
+        return np.arange(total) + np.repeat(starts - (ends - lengths), lengths), lengths
 
     @property
     def parallel_safe(self) -> bool:

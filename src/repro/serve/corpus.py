@@ -18,7 +18,7 @@ that state:
 * the **warm gain state** for non-modular quality: building one empty
   :meth:`~repro.functions.base.SetFunction.gain_state` at prepare time runs
   the construction-time work the batched-gains protocol caches (coverage
-  incidence matrices, log-det validation probes), so the first real query
+  topic indices, log-det validation probes), so the first real query
   pays none of it;
 * an **LRU cache of restriction views** keyed by the (deduplicated) pool, so
   hot pools reuse their sub-instance across batch windows.
@@ -273,7 +273,7 @@ class PreparedCorpus:
         """The prepared empty gain state of a non-modular quality.
 
         Built once at prepare time (``warm=True``); the batched-gains
-        protocol's construction-time caches (coverage incidence matrices,
+        protocol's construction-time caches (coverage topic indices,
         log-det PSD probes) are warmed by building it, so per-query solves —
         whose restriction views compose the same underlying arrays — start
         hot.  ``None`` for modular corpora, which need no state at all.

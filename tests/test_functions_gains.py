@@ -295,18 +295,23 @@ class TestGainStateBasics:
             function.gains(np.array([0, 1]), state), [2.0, 0.0]
         )
 
-    def test_coverage_incidence_cap_falls_back(self, monkeypatch):
-        # Force the no-incidence path (the cap is applied at construction,
-        # keeping gains a pure read) and check it still matches marginal.
-        monkeypatch.setattr("repro.functions.coverage._INCIDENCE_LIMIT", 0)
-        coverage = CoverageFunction.random(20, 12, seed=3)
-        assert coverage._incidence is None
-        state = coverage.gain_state({1, 2, 3})
-        batched = coverage.gains(np.arange(20), state)
-        looped = np.array(
-            [coverage.marginal(u, frozenset({1, 2, 3})) for u in range(20)]
+    def test_coverage_gains_csr_edge_cases(self):
+        # The per-candidate segments of the CSR gather: topic-less elements
+        # (empty segments), repeated and unordered candidates, a member, and a
+        # batch of topic-less elements only (still a float vector).
+        coverage = CoverageFunction([{1, 2}, set(), {2, 3}, {4}, set()], {3: 0.5})
+        members = frozenset({2})
+        state = coverage.gain_state(members)
+        candidates = np.array([4, 0, 1, 3, 2, 0])
+        np.testing.assert_allclose(
+            coverage.gains(candidates, state),
+            [coverage.marginal(int(u), members) for u in candidates],
+            atol=TOLERANCE,
+            rtol=0,
         )
-        np.testing.assert_allclose(batched, looped, atol=TOLERANCE, rtol=0)
+        empty = coverage.gains(np.array([1, 4]), state)
+        assert empty.dtype == float
+        assert empty.tolist() == [0.0, 0.0]
 
 
 class TestLogDetValidation:

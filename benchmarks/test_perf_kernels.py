@@ -39,11 +39,7 @@ from repro.core import kernels
 from repro.core.batch import solve_many
 from repro.core.control import RunControl
 from repro.core.greedy import greedy_diversify
-from repro.core.local_search import (
-    LocalSearchConfig,
-    _scan_swaps,
-    local_search_diversify,
-)
+from repro.core.local_search import LocalSearchConfig, local_search_diversify
 from repro.core.objective import Objective
 from repro.core.sharding import solve_sharded
 from repro.core.solver import solve
@@ -105,7 +101,13 @@ def test_swap_scan_speedup(benchmark):
     weights = kernels.modular_weights(objective.quality)
 
     def vectorized_scan():
-        return _scan_swaps(objective, matroid, selected, tracker, 0.0, weights)
+        return kernels.best_swap_scan(
+            objective,
+            selected,
+            tracker.marginals_view(),
+            weights=weights,
+            matroid=matroid,
+        )[0]
 
     # Min over several rounds on both sides: background load on a shared CI
     # runner can only inflate a single sample, never deflate it, so the

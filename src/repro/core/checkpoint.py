@@ -12,8 +12,9 @@ A :class:`SolveCheckpoint` is a plain-data snapshot of a solve in progress:
 Checkpoints hold only primitive Python/tuple data (like
 :class:`~repro.obs.trace.Stopwatch`, nothing in them depends on live
 locks, clocks or array views), so they pickle across process boundaries and
-can be written to disk between sessions.  Emission is pull-free: callers pass
-a :class:`~repro.core.control.RunControl` with ``checkpoint_every`` and an
+can be written to disk between sessions (:func:`save_checkpoint`, the one
+snapshot-file writer).  Emission is pull-free: callers pass a
+:class:`~repro.core.control.RunControl` with ``checkpoint_every`` and an
 ``on_checkpoint`` callback to :func:`~repro.core.solver.solve`, and resume by
 passing the snapshot back as its ``resume_from``.
 """
@@ -83,22 +84,27 @@ def save_checkpoint(checkpoint: Any, path: str) -> None:
 
     Shared by every persistence point in the stack — solve checkpoints,
     dynamic engine/session snapshots and the serving tier's corpus snapshots
-    all hold plain-data state, so one pickle helper covers them.
+    all hold plain-data state, so one writer covers them: the atomic,
+    checksummed frame of :func:`~repro.durability.snapshot.write_framed`.
     """
-    with open(path, "wb") as handle:
-        pickle.dump(checkpoint, handle)
+    # A module-level import cycles through repro.durability.recovery.
+    from repro.durability.snapshot import write_framed
+
+    write_framed(path, pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def load_checkpoint(path: str, expected_type: type) -> Any:
     """Load a checkpoint written by :func:`save_checkpoint`, type-checked.
 
-    Raises :class:`~repro.exceptions.InvalidParameterError` when the pickle
-    holds anything but an ``expected_type`` instance, so a solve checkpoint
-    cannot be silently fed where a corpus snapshot was expected (and vice
-    versa).
+    A damaged or unframed file raises
+    :class:`~repro.exceptions.DurabilityError`, and one holding anything but
+    an ``expected_type`` instance raises
+    :class:`~repro.exceptions.InvalidParameterError`, so a solve checkpoint
+    cannot be silently fed where a corpus snapshot was expected.
     """
-    with open(path, "rb") as handle:
-        checkpoint = pickle.load(handle)
+    from repro.durability.snapshot import read_framed
+
+    checkpoint = pickle.loads(read_framed(path))
     if not isinstance(checkpoint, expected_type):
         raise InvalidParameterError(
             f"{path!r} does not contain a {expected_type.__name__}"

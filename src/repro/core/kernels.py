@@ -1,8 +1,9 @@
 """Array kernels: the one code path of every pair and swap scan.
 
-Greedy B's best-pair start, the local-search initial pair and swap scan, the
-streaming arrival rule and the dynamic update rule each run once, as array
-programs, for every metric and every quality function:
+Greedy B's best-pair start, the local-search initial pair, the streaming
+arrival rule and :func:`best_swap_scan` — the one swap scan of local search,
+the Section 6 update rules and the dynamic engine's repair — each run once,
+as array programs, for every metric and every quality function:
 
 * **distances** come from :meth:`~repro.metrics.base.Metric.block` — an
   ``np.ix_`` slice for a :class:`~repro.metrics.matrix.DistanceMatrix`, a
@@ -56,12 +57,20 @@ __all__ = [
     "pair_argmax",
     "swap_gain_matrix",
     "best_swap_scan_from_gains",
+    "best_swap_scan",
+    "GAIN_TOLERANCE",
 ]
 
 #: Pool rows scored per block by :func:`pair_argmax`.  Bounds the pair
 #: working set at ``PAIR_ROW_CHUNK × |pool|`` floats (distance block plus
 #: quality block) however large the pool is.
 PAIR_ROW_CHUNK = 32
+
+#: Swap gains within this of zero are floating-point noise: no swap scan
+#: accepts a smaller gain, so tied solutions never trade places on rounding
+#: error, and the dynamic engine's no-swap certificate needs every swap-gain
+#: bound at least this far below zero.
+GAIN_TOLERANCE = 1e-9
 
 
 def weights_view_of(quality: SetFunction) -> Optional[np.ndarray]:
@@ -301,3 +310,60 @@ def best_swap_scan_from_gains(
     if not best > threshold:
         return None
     return int(incoming[i]), int(outgoing[j]), best
+
+
+def best_swap_scan(
+    objective,
+    selected: Iterable[Element],
+    margins: np.ndarray,
+    *,
+    weights: Optional[np.ndarray],
+    matroid=None,
+    threshold: float = 0.0,
+    first_improvement: bool = False,
+) -> Tuple[Optional[Tuple[Element, Element, float]], np.ndarray]:
+    """One best-swap scan of ``selected``: a masked argmax over all swaps.
+
+    The gain matrix is :func:`swap_gain_matrix` over one
+    :meth:`~repro.metrics.base.Metric.block` of cross distances, the
+    caller's distance marginals ``margins[u] = d_u(S)`` and the quality part
+    of :func:`quality_gains` (``weights``, or ``swap_gains`` against a gain
+    state of ``S``), masked by ``matroid.swap_feasibility`` when a matroid
+    is given.  The accepted swap is the best (with ``first_improvement``,
+    the first row-major) entry above both ``threshold`` and
+    :data:`GAIN_TOLERANCE`.
+
+    Returns ``(move, gains)``: ``(incoming, outgoing, gain)`` or ``None``,
+    and the unmasked outside × inside gain matrix (empty when either side
+    is).
+    """
+    inside, outside = solution_split(objective.n, selected)
+    if inside.size == 0 or outside.size == 0:
+        return None, np.empty((outside.size, inside.size))
+    quality_gain = quality_gains(
+        objective.quality,
+        weights,
+        outside,
+        inside,
+        state=objective.make_quality_state(selected),
+    )
+    gains = swap_gain_matrix(
+        quality_gain,
+        objective.metric.block(outside, inside),
+        objective.tradeoff,
+        margins,
+        outside,
+        inside,
+    )
+    feasible = (
+        None if matroid is None else matroid.swap_feasibility(selected, outside, inside)
+    )
+    move = best_swap_scan_from_gains(
+        gains,
+        outside,
+        inside,
+        feasible=feasible,
+        threshold=max(threshold, GAIN_TOLERANCE),
+        first_improvement=first_improvement,
+    )
+    return move, gains

@@ -47,8 +47,9 @@ class LocalSearchConfig:
     epsilon:
         Minimum relative improvement per swap: a swap is accepted only if it
         improves the objective by more than ``epsilon * |φ(S)| / n``.  0 means
-        any strict improvement counts (the algorithm exactly as stated in the
-        paper).
+        any improvement above floating-point noise
+        (:data:`~repro.core.kernels.GAIN_TOLERANCE`) counts, the algorithm as
+        stated in the paper.
     max_swaps:
         Hard cap on the number of accepted swaps (``None`` = unbounded).
     time_budget_seconds:
@@ -69,6 +70,23 @@ class LocalSearchConfig:
             raise InvalidParameterError("max_swaps must be non-negative")
         if self.time_budget_seconds is not None and self.time_budget_seconds < 0:
             raise InvalidParameterError("time_budget_seconds must be non-negative")
+
+
+def _extend_to_basis(
+    objective: Objective, matroid: Matroid, start: Set[Element]
+) -> Set[Element]:
+    """``start`` extended to a basis, preferring high singleton quality.
+
+    A start that is already a basis comes back unchanged.  Otherwise the
+    preference is one batch of singleton gains ``f({u})``, highest first (a
+    stable sort, so ties keep index order).
+    """
+    if len(start) == matroid.rank():
+        return set(start)
+    quality = objective.quality
+    singles = quality.gains(np.arange(matroid.n), quality.gain_state())
+    preference = np.argsort(-singles, kind="stable").tolist()
+    return set(matroid.extend_to_basis(start, preference=preference))
 
 
 def _initial_basis(objective: Objective, matroid: Matroid) -> Set[Element]:
@@ -93,66 +111,7 @@ def _initial_basis(objective: Objective, matroid: Matroid) -> Set[Element]:
     )
     if move is None:
         raise InfeasibleError("no independent pair exists in the matroid")
-    # Extend preferring high singleton quality so the starting basis is sensible.
-    preference = sorted(
-        range(matroid.n),
-        key=lambda u: objective.quality.marginal(u, frozenset()),
-        reverse=True,
-    )
-    return set(matroid.extend_to_basis({move[0], move[1]}, preference=preference))
-
-
-def _scan_swaps(
-    objective: Objective,
-    matroid: Matroid,
-    selected: Set[Element],
-    tracker,
-    threshold: float,
-    weights: Optional[np.ndarray],
-    *,
-    first_improvement: bool = False,
-) -> Optional[Tuple[Element, Element, float]]:
-    """One best-swap scan: a masked argmax over the full swap-gain matrix.
-
-    The (incoming × outgoing) matrix is
-
-    ``φ(S − v + u) − φ(S) = [f(S − v + u) − f(S)] + λ·[(d_u(S) − d(u, v)) − d_v(S)]``
-
-    with the distance marginals read from the tracker's view, the cross
-    distances from one :meth:`~repro.metrics.base.Metric.block`, the quality
-    part from :func:`~repro.core.kernels.quality_gains` (``weights`` for
-    modular quality, the family's ``swap_gains`` against a gain state of
-    ``S`` otherwise) and the mask from
-    :meth:`~repro.matroids.base.Matroid.swap_feasibility`.
-    Returns ``(incoming, outgoing, gain)`` with ``gain > threshold``, or
-    ``None``.
-    """
-    inside, outside = kernels.solution_split(objective.n, selected)
-    if inside.size == 0 or outside.size == 0:
-        return None
-    quality_gain = kernels.quality_gains(
-        objective.quality,
-        weights,
-        outside,
-        inside,
-        state=objective.make_quality_state(selected),
-    )
-    gains = kernels.swap_gain_matrix(
-        quality_gain,
-        objective.metric.block(outside, inside),
-        objective.tradeoff,
-        tracker.marginals_view(),
-        outside,
-        inside,
-    )
-    return kernels.best_swap_scan_from_gains(
-        gains,
-        outside,
-        inside,
-        feasible=matroid.swap_feasibility(selected, outside, inside),
-        threshold=threshold,
-        first_improvement=first_improvement,
-    )
+    return _extend_to_basis(objective, matroid, {move[0], move[1]})
 
 
 def _run_swaps(
@@ -166,8 +125,10 @@ def _run_swaps(
 ) -> Tuple[int, bool]:
     """Perform improving swaps in place; return the number of swaps accepted.
 
-    Each iteration runs one :func:`_scan_swaps` and accepts only a swap
-    strictly better than the ε-threshold of :class:`LocalSearchConfig`.
+    Each iteration runs one :func:`~repro.core.kernels.best_swap_scan` with
+    the tracker's distance marginals and accepts only a swap better than the
+    ε-threshold of :class:`LocalSearchConfig` (and than
+    :data:`~repro.core.kernels.GAIN_TOLERANCE`).
 
     Returns ``(swaps accepted, interrupted)`` — ``interrupted`` is ``True``
     only when a cooperative ``deadline`` expired; the config's own time
@@ -192,13 +153,13 @@ def _run_swaps(
         ):
             break
         threshold = config.epsilon * abs(current_value) / max(objective.n, 1)
-        move = _scan_swaps(
+        move, _ = kernels.best_swap_scan(
             objective,
-            matroid,
             selected,
-            tracker,
-            threshold,
-            weights,
+            tracker.marginals_view(),
+            weights=weights,
+            matroid=matroid,
+            threshold=threshold,
             first_improvement=config.first_improvement,
         )
         if move is None:
@@ -276,12 +237,7 @@ def local_search_diversify(
             raise InvalidParameterError(
                 "initial set must be independent in the matroid"
             )
-        preference = sorted(
-            range(matroid.n),
-            key=lambda u: objective.quality.marginal(u, frozenset()),
-            reverse=True,
-        )
-        selected = set(matroid.extend_to_basis(initial_set, preference=preference))
+        selected = _extend_to_basis(objective, matroid, initial_set)
 
     swap_trace: List[Tuple[Element, Element, float]] = []
     swaps, interrupted = _run_swaps(

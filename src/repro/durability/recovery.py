@@ -28,6 +28,7 @@ rejects raises :class:`~repro.exceptions.RecoveryError`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import SNAPSHOT_FORMAT_VERSION, check_snapshot_version
+from repro.core.control import RunControl
 from repro.durability.snapshot import SnapshotStore
 from repro.durability.wal import (
     RECORD_INIT,
@@ -334,7 +336,9 @@ def recover_session(
     ``session_cls`` is :class:`~repro.dynamic.session.DynamicSession`
     (passed in to keep the import direction session → durability).
     Configuration defaults to the journaled values; explicit keyword
-    arguments override them.
+    arguments override them.  The replay runs under ``control`` with its
+    checkpoint fields cleared, since the dead session already emitted those
+    checkpoints; the recovered session then runs under ``control`` itself.
     """
     directory = os.fspath(directory)
     wal_path = os.path.join(directory, WAL_FILENAME)
@@ -389,10 +393,14 @@ def recover_session(
         raise RecoveryError(f"nothing to recover in {directory}")
 
     restore_kwargs = dict(session_kwargs)
+    control = RunControl.coerce(restore_kwargs.pop("control", None)).check("session")
     restore_kwargs.setdefault("resolve_every", config.get("resolve_every"))
     restore_kwargs.setdefault("resolve_kwargs", config.get("resolve_kwargs"))
     session = session_cls.restore(
-        base_snapshot, metric_factory=metric_factory, **restore_kwargs
+        base_snapshot,
+        metric_factory=metric_factory,
+        control=dataclasses.replace(control, checkpoint_every=None, on_checkpoint=None),
+        **restore_kwargs,
     )
     session._ticks = base_ticks
 
@@ -411,6 +419,7 @@ def recover_session(
                 f"engine rejects: {error}"
             ) from error
         last_seq = max(last_seq, record.seq)
+    session._control = control
 
     store = DurableStore(
         directory,

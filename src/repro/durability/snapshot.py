@@ -100,11 +100,6 @@ def read_framed(path: str) -> bytes:
     return payload
 
 
-def is_framed_snapshot(data: bytes) -> bool:
-    """Whether a byte prefix carries the framed-snapshot magic."""
-    return data.startswith(SNAPSHOT_MAGIC)
-
-
 class SnapshotStore:
     """A directory of checksummed snapshot generations.
 

@@ -24,9 +24,10 @@ Per tick the engine
    maintained from the last full scan: per-outgoing upper bounds on the
    best incoming swap gain, shifted by the tick's member weight/margin
    deltas, plus exact gains for the (few) dirty incoming elements.  Only
-   when some bound comes near zero does the engine fall back to the full
-   vectorized best-swap scan — which is arithmetically identical to the
-   legacy update rule, so results never depend on the certificate.
+   when some bound comes near zero (within
+   :data:`~repro.core.kernels.GAIN_TOLERANCE`) does the engine fall back to
+   the full best-swap scan, :func:`~repro.core.kernels.best_swap_scan` — the
+   scan the update rules run — so results never depend on the certificate.
 
 The engine can also report the exact optimum (for small instances) so the
 simulation of Section 7.3 can track the worst observed approximation ratio.
@@ -67,15 +68,6 @@ from repro.obs.instrument import TICK_CERTIFICATES, maybe_span
 #: sessions at 10⁴+ events/sec would otherwise grow it without limit; pass
 #: ``history_limit=None`` for the old unbounded behaviour.
 DEFAULT_HISTORY_LIMIT = 1024
-
-#: Swap gains within this of zero are floating-point noise.  The repair scan
-#: accepts only swaps gaining more than it, so two tied solutions cannot trade
-#: places back and forth on rounding error until the update budget runs out.
-#: A swap-gain upper bound must be at least this far below zero for the
-#: no-swap certificate to fire; anything closer falls back to the exact
-#: full scan, so certificate floating-point noise can never change a result.
-_GAIN_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class EngineSnapshot:
@@ -509,7 +501,7 @@ class DynamicDiversifier:
                     )
                     dirty_col = dirty_gains.max(axis=0)
                     best_bound = max(best_bound, float(dirty_col.max()))
-                if best_bound <= -_GAIN_TOLERANCE:
+                if best_bound <= -kernels.GAIN_TOLERANCE:
                     self._set_cache(
                         inside,
                         np.maximum(shifted, dirty_col)
@@ -521,27 +513,14 @@ class DynamicDiversifier:
                 self._cache_valid = False
                 continue
             first = False
-            inside, outside = kernels.solution_split(slots, self._solution)
+            inside = np.fromiter(sorted(self._solution), dtype=int)
             margins = kernels.set_margins(matrix, inside)
             self._margins = margins
-            if outside.size == 0 or inside.size == 0:
-                self._set_cache(inside, np.full(inside.size, -np.inf))
-                break
-            gains = kernels.swap_gain_matrix(
-                kernels.quality_gains(
-                    None, weights, outside, inside, state=GainState(self._solution)
-                ),
-                matrix[np.ix_(outside, inside)],
-                self._tradeoff,
-                margins,
-                outside,
-                inside,
-            )
-            move = kernels.best_swap_scan_from_gains(
-                gains, outside, inside, threshold=_GAIN_TOLERANCE
+            move, gains = kernels.best_swap_scan(
+                self.objective, self._solution, margins, weights=weights
             )
             if move is None:
-                self._set_cache(inside, gains.max(axis=0))
+                self._set_cache(inside, np.max(gains, axis=0, initial=-np.inf))
                 break
             incoming, outgoing, gain = move
             self._solution.discard(outgoing)
@@ -635,9 +614,10 @@ class DynamicDiversifier:
 
         This routes through the same code path as :meth:`apply_events`, and
         reproduces the sequential update rule exactly: the repair phase
-        either *certifies* that no improving swap exists or runs the same
-        vectorized full scan the legacy rule runs, except that a swap must
-        gain more than floating-point noise (``1e-9``) to be made.
+        either *certifies* that no improving swap exists or runs the scan the
+        update rules run (:func:`~repro.core.kernels.best_swap_scan`), which
+        makes a swap only when it gains more than
+        :data:`~repro.core.kernels.GAIN_TOLERANCE`.
         """
         batch = EventBatch.from_perturbations([perturbation])
         return self._tick(committable(self, batch, updates), perturbation)

@@ -995,7 +995,10 @@ class DynamicSession:
         Session configuration (``resolve_every``, ``fsync``,
         ``snapshot_every``, ...) defaults to what the dead session journaled;
         keyword ``options`` override it.  ``control`` is not journaled: the
-        recovered session runs under the one given here, replay included.
+        recovered session runs under the one given here.  The replay runs
+        under it too, but with its checkpoint fields cleared, so no
+        checkpoint the dead session emitted is emitted again; the next one
+        comes at the next multiple of ``checkpoint_every`` ticks.
         """
         from repro.durability.recovery import recover_session
 

@@ -5,8 +5,15 @@ Given the current solution ``S``, find the pair ``(u, v)`` with ``u ∈ S``,
 
 ``φ_{v→u}(S) = φ(S − u + v) − φ(S)``
 
-and perform the swap iff the gain is positive.  The rule is *oblivious*
-because it ignores which perturbation happened.
+and perform the swap iff the gain is positive — above floating-point noise,
+:data:`~repro.core.kernels.GAIN_TOLERANCE`.  The rule is *oblivious* because
+it ignores which perturbation happened.
+
+The update is one best-improvement step of Section 5's local search under
+the uniform matroid ``U(p, n)`` with ``p = |S|``: :func:`best_swap` is one
+:func:`~repro.core.kernels.best_swap_scan`, and :func:`update_until_stable`
+(with :func:`oblivious_update` as its one-update case) runs
+:func:`~repro.core.local_search.local_search_diversify` from ``S``.
 
 :func:`required_updates_for_weight_decrease` computes Theorem 4's bound
 ``⌈log_{(p-2)/(p-3)} w/(w-δ)⌉`` on the number of updates needed after a large
@@ -19,12 +26,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro._types import Element
 from repro.core import kernels
+from repro.core.local_search import LocalSearchConfig, local_search_diversify
 from repro.core.objective import Objective
 from repro.exceptions import InvalidParameterError
+from repro.matroids.uniform import UniformMatroid
 
 
 @dataclass(frozen=True)
@@ -73,13 +80,13 @@ def best_swap(
 ) -> Optional[Tuple[Element, Element, float]]:
     """Return the best single swap ``(incoming, outgoing, gain)`` or ``None``.
 
-    ``None`` is returned when no swap has a strictly positive gain, i.e. the
-    solution is locally optimal for the single-swap neighbourhood.
+    ``None`` is returned when no swap gains more than
+    :data:`~repro.core.kernels.GAIN_TOLERANCE`, i.e. the solution is locally
+    optimal for the single-swap neighbourhood.
 
-    The scan is one masked argmax over the (incoming × outgoing) swap-gain
-    matrix: distances from one ``n × |S|``
-    :meth:`~repro.metrics.base.Metric.block`, quality from
-    :func:`~repro.core.kernels.quality_gains`.
+    The scan is one :func:`~repro.core.kernels.best_swap_scan`, with the
+    distance marginals ``d_u(S)`` read from a tracker of ``S``, as the local
+    search reads them.
 
     ``candidates`` restricts the incoming elements to a query-scoped pool
     (through the restriction layer, so the vectorized scan runs on the
@@ -95,27 +102,13 @@ def best_swap(
         incoming, outgoing, gain = move
         pool = restriction.candidates
         return pool[incoming], pool[outgoing], gain
-    inside, outside = kernels.solution_split(objective.n, solution)
-    if inside.size == 0 or outside.size == 0:
-        return None
-    distances = objective.metric.block(np.arange(objective.n), inside)
-    quality = objective.quality
-    quality_gain = kernels.quality_gains(
-        quality,
-        kernels.modular_weights(quality),
-        outside,
-        inside,
-        state=quality.gain_state(solution),
+    move, _ = kernels.best_swap_scan(
+        objective,
+        solution,
+        objective.make_tracker(solution).marginals_view(),
+        weights=kernels.modular_weights(objective.quality),
     )
-    gains = kernels.swap_gain_matrix(
-        quality_gain,
-        distances[outside],
-        objective.tradeoff,
-        distances.sum(axis=1),
-        outside,
-        inside,
-    )
-    return kernels.best_swap_scan_from_gains(gains, outside, inside)
+    return move
 
 
 def oblivious_update(
@@ -126,21 +119,11 @@ def oblivious_update(
 ) -> UpdateOutcome:
     """Apply the oblivious single-swap update rule exactly once.
 
-    ``candidates`` restricts the incoming elements to a pool (see
-    :func:`best_swap`).
+    :func:`update_until_stable` with one update; ``candidates`` restricts
+    the incoming elements to a pool (see :func:`best_swap`).
     """
-    current = set(solution)
-    move = best_swap(objective, current, candidates=candidates)
-    swaps: List[Tuple[Element, Element, float]] = []
-    if move is not None:
-        incoming, outgoing, gain = move
-        current.remove(outgoing)
-        current.add(incoming)
-        swaps.append((incoming, outgoing, gain))
-    return UpdateOutcome(
-        solution=frozenset(current),
-        swaps=tuple(swaps),
-        objective_value=objective.value(current),
+    return update_until_stable(
+        objective, solution, max_updates=1, candidates=candidates
     )
 
 
@@ -153,44 +136,23 @@ def update_until_stable(
 ) -> UpdateOutcome:
     """Apply the oblivious rule repeatedly until no swap improves (or a cap hits).
 
+    This is the local search of Section 5 started at ``solution`` under the
+    uniform matroid ``U(|S|, n)``, capped at ``max_updates`` swaps.
     ``candidates`` restricts the incoming elements to a pool (see
     :func:`best_swap`).
     """
-    if max_updates is not None and max_updates < 0:
-        raise InvalidParameterError("max_updates must be non-negative")
-    if candidates is not None:
-        # Build the restriction once for the whole stabilization run, not
-        # once per swap iteration (each build costs the O(k²) submatrix).
-        restriction = objective.restrict(candidates)
-        local = update_until_stable(
-            restriction.objective,
-            set(restriction.to_local(solution)),
-            max_updates=max_updates,
-        )
-        pool = restriction.candidates
-        return UpdateOutcome(
-            solution=frozenset(pool[e] for e in local.solution),
-            swaps=tuple(
-                (pool[incoming], pool[outgoing], gain)
-                for incoming, outgoing, gain in local.swaps
-            ),
-            objective_value=local.objective_value,
-            metadata=local.metadata,
-        )
     current = set(solution)
-    swaps: List[Tuple[Element, Element, float]] = []
-    while max_updates is None or len(swaps) < max_updates:
-        move = best_swap(objective, current)
-        if move is None:
-            break
-        incoming, outgoing, gain = move
-        current.remove(outgoing)
-        current.add(incoming)
-        swaps.append((incoming, outgoing, gain))
+    result = local_search_diversify(
+        objective,
+        UniformMatroid(objective.n, len(current)),
+        initial=current,
+        config=LocalSearchConfig(max_swaps=max_updates),
+        candidates=candidates,
+    )
     return UpdateOutcome(
-        solution=frozenset(current),
-        swaps=tuple(swaps),
-        objective_value=objective.value(current),
+        solution=result.selected,
+        swaps=tuple(result.metadata["swaps"]),
+        objective_value=result.objective_value,
     )
 
 

@@ -102,10 +102,10 @@ def serve(
         backoff, so the table also shows how much load the bound rejected).
     durable_snapshot:
         Serve from a recovered corpus instead of the freshly prepared one:
-        round-trip the corpus through a checksummed durable snapshot
-        (``PreparedCorpus.save(durable=True)`` → ``PreparedCorpus.load``)
-        before the server starts — the handoff a serving process restarting
-        after a crash performs.
+        round-trip the corpus through a checksummed snapshot file
+        (``PreparedCorpus.save`` → ``PreparedCorpus.load``) before the
+        server starts — the handoff a serving process restarting after a
+        crash performs.
     trace_path:
         When given, the run records per-window spans
         (:class:`~repro.obs.trace.Trace`) and writes Chrome-trace JSON there
@@ -131,7 +131,7 @@ def serve(
         handle, path = tempfile.mkstemp(suffix=".snap", prefix="repro-corpus-")
         os.close(handle)
         try:
-            corpus.save(path, durable=True)
+            corpus.save(path)
             corpus = PreparedCorpus.load(path)
         finally:
             os.unlink(path)

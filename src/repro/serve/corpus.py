@@ -31,7 +31,6 @@ when it spans a sharded corpus's full universe.
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -122,42 +121,15 @@ class CorpusSnapshot:
     format_version: int = SNAPSHOT_FORMAT_VERSION
     fingerprint: Optional[str] = None
 
-    def save(self, path: str, *, durable: bool = False) -> None:
-        """Pickle the snapshot to ``path``.
-
-        With ``durable=True`` the file is written atomically (temp file +
-        fsync + rename) inside a checksummed frame, so a crash mid-save
-        leaves the previous snapshot intact and later bit rot is detected on
-        load rather than unpickled into garbage.
-        """
-        if durable:
-            from repro.durability.snapshot import write_framed
-
-            write_framed(path, pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL))
-        else:
-            save_checkpoint(self, path)
+    def save(self, path: str) -> None:
+        """Pickle the snapshot to ``path``, atomically inside a checksummed
+        frame (:func:`~repro.core.checkpoint.save_checkpoint`)."""
+        save_checkpoint(self, path)
 
     @staticmethod
     def load(path: str) -> "CorpusSnapshot":
-        """Load a snapshot previously written by :meth:`save`.
-
-        Detects the durable framed format by its magic prefix, so both plain
-        and ``durable=True`` snapshots load transparently.
-        """
-        with open(path, "rb") as handle:
-            prefix = handle.read(8)
-        from repro.durability.snapshot import is_framed_snapshot, read_framed
-
-        if is_framed_snapshot(prefix):
-            snapshot = pickle.loads(read_framed(path))
-            if not isinstance(snapshot, CorpusSnapshot):
-                raise InvalidParameterError(
-                    f"{path!r} holds a {type(snapshot).__name__}, "
-                    "not a CorpusSnapshot"
-                )
-        else:
-            snapshot = load_checkpoint(path, CorpusSnapshot)
-        return check_snapshot_version(snapshot, source=repr(path))
+        """Load a snapshot previously written by :meth:`save`."""
+        return load_checkpoint(path, CorpusSnapshot)
 
 
 class PreparedCorpus:
@@ -533,13 +505,10 @@ class PreparedCorpus:
             ),
         )
 
-    def save(self, path: str, *, durable: bool = False) -> None:
-        """Snapshot the corpus and pickle it to ``path``.
-
-        ``durable=True`` writes atomically inside a checksummed frame (see
-        :meth:`CorpusSnapshot.save`).
-        """
-        self.snapshot().save(path, durable=durable)
+    def save(self, path: str) -> None:
+        """Snapshot the corpus and save it to ``path`` (see
+        :meth:`CorpusSnapshot.save`)."""
+        self.snapshot().save(path)
 
     @classmethod
     def restore(cls, snapshot: CorpusSnapshot) -> "PreparedCorpus":

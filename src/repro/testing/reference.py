@@ -107,8 +107,10 @@ def scan_swaps_reference(
     :meth:`~repro.matroids.base.Matroid.swap_candidates` allows are tried,
     incoming then outgoing ascending: the best swap is the first strict
     maximum, and with ``first_improvement`` the first swap beating
-    ``threshold`` is returned.  Returns ``(incoming, outgoing, gain)`` with
-    ``gain > threshold``, or ``None``.
+    ``threshold`` is returned.  Gains are floored by
+    :data:`~repro.core.kernels.GAIN_TOLERANCE`, as in the kernel scan.
+    Returns ``(incoming, outgoing, gain)`` with ``gain`` above both, or
+    ``None``.
     """
     quality = objective.quality
     metric = objective.metric
@@ -118,7 +120,7 @@ def scan_swaps_reference(
     removal_states: dict = {}
 
     best_move: Optional[Tuple[Element, Element]] = None
-    best_gain = threshold
+    best_gain = max(threshold, kernels.GAIN_TOLERANCE)
     for incoming in range(objective.n):
         if incoming in selected:
             continue
@@ -193,8 +195,9 @@ def best_swap_reference(
 ) -> Optional[Tuple[Element, Element, float]]:
     """The oblivious update rule (Section 6) as O(n·p) ``swap_gain`` calls.
 
-    Returns the best ``(incoming, outgoing, gain)`` with ``gain > 0`` —
-    incoming ascending, the first strict maximum winning — or ``None``.
+    Returns the best ``(incoming, outgoing, gain)`` with ``gain`` above
+    :data:`~repro.core.kernels.GAIN_TOLERANCE` — incoming ascending, the
+    first strict maximum winning — or ``None``.
     """
     best: Optional[Tuple[Element, Element, float]] = None
     for incoming in range(objective.n):
@@ -202,7 +205,7 @@ def best_swap_reference(
             continue
         for outgoing in sorted(solution):
             gain = objective.swap_gain(solution, incoming, outgoing)
-            if gain > 0 and (best is None or gain > best[2]):
+            if gain > kernels.GAIN_TOLERANCE and (best is None or gain > best[2]):
                 best = (incoming, outgoing, gain)
     return best
 

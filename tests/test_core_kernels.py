@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import kernels
 from repro.core.greedy import greedy_diversify
-from repro.core.local_search import _scan_swaps, local_search_diversify
+from repro.core.local_search import local_search_diversify
 from repro.core.objective import Objective
 from repro.core.streaming import streaming_diversify
 from repro.dynamic.update_rules import best_swap
@@ -118,8 +118,12 @@ class TestSwapScanEquivalence:
         rng = np.random.default_rng(seed)
         selected = set(rng.choice(fast.n, size=8, replace=False).tolist())
         matroid = UniformMatroid(fast.n, len(selected))
-        vec = _scan_swaps(
-            fast, matroid, selected, fast.make_tracker(selected), 0.0, _weights(fast)
+        vec, _ = kernels.best_swap_scan(
+            fast,
+            selected,
+            fast.make_tracker(selected).marginals_view(),
+            weights=_weights(fast),
+            matroid=matroid,
         )
         ref = scan_swaps_reference(
             slow, matroid, selected, slow.make_tracker(selected), 0.0
@@ -139,8 +143,12 @@ class TestSwapScanEquivalence:
         blocks = [u % 4 for u in range(fast.n)]
         matroid = PartitionMatroid(blocks, {b: 2 for b in range(4)})
         selected = set(matroid.extend_to_basis(frozenset()))
-        vec = _scan_swaps(
-            fast, matroid, selected, fast.make_tracker(selected), 0.0, _weights(fast)
+        vec, _ = kernels.best_swap_scan(
+            fast,
+            selected,
+            fast.make_tracker(selected).marginals_view(),
+            weights=_weights(fast),
+            matroid=matroid,
         )
         ref = scan_swaps_reference(
             slow, matroid, selected, slow.make_tracker(selected), 0.0
@@ -157,17 +165,15 @@ class TestSwapScanEquivalence:
         selected = set(rng.choice(fast.n, size=6, replace=False).tolist())
         matroid = UniformMatroid(fast.n, len(selected))
         huge = 1e9
-        assert (
-            _scan_swaps(
-                fast,
-                matroid,
-                selected,
-                fast.make_tracker(selected),
-                huge,
-                _weights(fast),
-            )
-            is None
+        move, _ = kernels.best_swap_scan(
+            fast,
+            selected,
+            fast.make_tracker(selected).marginals_view(),
+            weights=_weights(fast),
+            matroid=matroid,
+            threshold=huge,
         )
+        assert move is None
 
 
 class TestSubmodularSwapScanEquivalence:
@@ -195,7 +201,9 @@ class TestSubmodularSwapScanEquivalence:
         selected = set(rng.choice(objective.n, size=7, replace=False).tolist())
         matroid = UniformMatroid(objective.n, len(selected))
         tracker = objective.make_tracker(selected)
-        vec = _scan_swaps(objective, matroid, selected, tracker, 0.0, None)
+        vec, _ = kernels.best_swap_scan(
+            objective, selected, tracker.marginals_view(), weights=None, matroid=matroid
+        )
         ref = scan_swaps_reference(objective, matroid, selected, tracker, 0.0)
         assert (vec is None) == (ref is None)
         if vec is not None:
@@ -213,7 +221,9 @@ class TestSubmodularSwapScanEquivalence:
         matroid = PartitionMatroid(blocks, {b: 2 for b in range(4)})
         selected = set(matroid.extend_to_basis(frozenset()))
         tracker = objective.make_tracker(selected)
-        vec = _scan_swaps(objective, matroid, selected, tracker, 0.0, None)
+        vec, _ = kernels.best_swap_scan(
+            objective, selected, tracker.marginals_view(), weights=None, matroid=matroid
+        )
         ref = scan_swaps_reference(objective, matroid, selected, tracker, 0.0)
         assert (vec is None) == (ref is None)
         if vec is not None:
@@ -225,17 +235,15 @@ class TestSubmodularSwapScanEquivalence:
         rng = np.random.default_rng(0)
         selected = set(rng.choice(objective.n, size=5, replace=False).tolist())
         matroid = UniformMatroid(objective.n, len(selected))
-        assert (
-            _scan_swaps(
-                objective,
-                matroid,
-                selected,
-                objective.make_tracker(selected),
-                1e9,
-                None,
-            )
-            is None
+        move, _ = kernels.best_swap_scan(
+            objective,
+            selected,
+            objective.make_tracker(selected).marginals_view(),
+            weights=None,
+            matroid=matroid,
+            threshold=1e9,
         )
+        assert move is None
 
 
 def _assert_matches_reference(result, objective, matroid):

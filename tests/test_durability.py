@@ -642,6 +642,34 @@ class TestRecoveryEdgeCases:
         with pytest.raises(SnapshotVersionError, match="format_version"):
             DynamicSession.recover(directory)
 
+    @pytest.mark.parametrize("backend", ["dense", "sharded"])
+    def test_replay_fires_no_checkpoint(self, tmp_path, backend):
+        if backend == "dense":
+            weights, distances = _dense_instance()
+            options = {"distances": distances}
+        else:
+            points, weights = _sharded_instance()
+            options = {"points": points, "shard_size": 16}
+        directory = str(tmp_path / "d")
+        emitted = []
+        control = RunControl(checkpoint_every=2, on_checkpoint=emitted.append)
+        session = DynamicSession(
+            weights, 4, durable_dir=directory, fsync="off", control=control, **options
+        )
+        rng = np.random.default_rng(9)
+        for _ in range(6):
+            session.apply_events(_tick(rng, session.n))
+        session.close()
+        assert len(emitted) == 3
+        recovered = DynamicSession.recover(directory, control=control)
+        assert recovered.ticks == 6
+        assert len(emitted) == 3  # the replay re-emitted none of them
+        recovered.apply_events(_tick(rng, recovered.n))
+        assert len(emitted) == 3
+        recovered.apply_events(_tick(rng, recovered.n))  # tick 8
+        assert len(emitted) == 4
+        recovered.close()
+
     def test_recover_overrides_journaled_config(self, tmp_path):
         directory = str(tmp_path / "d")
         session = self._durable_session(directory, snapshot_every=2)
@@ -739,6 +767,75 @@ def test_crash_anywhere_recovers_uncrashed_state(
 
 
 # ----------------------------------------------------------------------
+# Snapshot files: one framed writer for all four snapshot types
+# ----------------------------------------------------------------------
+SNAPSHOT_KINDS = ("solve", "engine", "session", "corpus")
+
+
+def _snapshot_of(kind):
+    """A small snapshot of one of the four types with ``save``/``load``."""
+    if kind == "solve":
+        return SolveCheckpoint(kind="greedy", n=10, p=3, order=(4, 1))
+    if kind == "engine":
+        weights, distances = _dense_instance()
+        return DynamicSession(weights, 4, distances=distances).snapshot()
+    if kind == "session":
+        points, weights = _sharded_instance()
+        return DynamicSession(weights, 4, points=points, shard_size=16).snapshot()
+    from repro.functions.modular import ModularFunction
+    from repro.metrics.euclidean import EuclideanMetric
+    from repro.serve.corpus import PreparedCorpus
+
+    rng = np.random.default_rng(0)
+    return PreparedCorpus(
+        ModularFunction(rng.random(20)),
+        EuclideanMetric(rng.random((20, 3))),
+        tradeoff=0.5,
+    ).snapshot()
+
+
+class TestSnapshotFiles:
+    @pytest.mark.parametrize("kind", SNAPSHOT_KINDS)
+    def test_round_trip(self, tmp_path, kind):
+        snapshot = _snapshot_of(kind)
+        path = str(tmp_path / "s.snap")
+        snapshot.save(path)
+        loaded = type(snapshot).load(path)
+        assert type(loaded) is type(snapshot)
+        assert loaded.fingerprint == snapshot.fingerprint
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped", "extended", "plain"])
+    @pytest.mark.parametrize("kind", SNAPSHOT_KINDS)
+    def test_damaged_file_raises_durability_error(self, tmp_path, kind, damage):
+        snapshot = _snapshot_of(kind)
+        path = str(tmp_path / "s.snap")
+        snapshot.save(path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if damage == "flipped":
+            flip_byte(path, len(data) // 2)
+        else:
+            damaged = {
+                "truncated": data[: len(data) // 2],
+                "extended": data + b"\x00",
+                "plain": pickle.dumps(snapshot),  # unframed
+            }[damage]
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+        with pytest.raises(DurabilityError):
+            type(snapshot).load(path)
+
+    @pytest.mark.parametrize("kind", SNAPSHOT_KINDS)
+    def test_other_type_raises_invalid_parameter(self, tmp_path, kind):
+        snapshot = _snapshot_of(kind)
+        other = _snapshot_of(SNAPSHOT_KINDS[SNAPSHOT_KINDS.index(kind) - 1])
+        path = str(tmp_path / "s.snap")
+        snapshot.save(path)
+        with pytest.raises(InvalidParameterError):
+            type(other).load(path)
+
+
+# ----------------------------------------------------------------------
 # Snapshot versioning and fingerprints (all four snapshot types)
 # ----------------------------------------------------------------------
 class TestSnapshotVersioning:
@@ -814,6 +911,6 @@ class TestSnapshotVersioning:
         with pytest.raises(SnapshotVersionError):
             PreparedCorpus.restore(bumped)
         path = str(tmp_path / "c.snap")
-        bumped.save(path, durable=True)
+        bumped.save(path)
         with pytest.raises(SnapshotVersionError):
             PreparedCorpus.load(path)

@@ -21,51 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.dynamic.engine import _GAIN_TOLERANCE, DynamicDiversifier
+from repro.dynamic.engine import DynamicDiversifier
 from repro.dynamic.events import EventBatch, EventBatchBuilder
-from repro.dynamic.perturbation import (
-    DistanceDecrease,
-    DistanceIncrease,
-    WeightDecrease,
-    WeightIncrease,
-)
+from repro.dynamic.perturbation import DistanceIncrease, WeightDecrease, WeightIncrease
 from repro.exceptions import PerturbationError
 from repro.functions.base import GainState
 
+from dynamic_instances import budget_tick, coarse_instance, random_perturbation
+
 seeds = st.integers(min_value=0, max_value=10_000)
-
-
-def _instance(n: int, seed: int):
-    """Coarse-valued random instance: weights in {0.00 … 10.00}, distances in
-    [1, 2] rounded to 2 decimals, so true swap gains are either exactly zero
-    or ≥ ~1e-3 — far beyond the engine's 1e-9 gain tolerance."""
-    rng = np.random.default_rng(seed)
-    weights = np.round(rng.uniform(0, 10, n), 2)
-    distances = np.round(rng.uniform(1, 2, (n, n)), 2)
-    distances = (distances + distances.T) / 2
-    np.fill_diagonal(distances, 0.0)
-    return weights, distances
-
-
-def _random_perturbation(engine, rng):
-    kind = rng.integers(0, 4)
-    if kind == 0:
-        return WeightIncrease(
-            int(rng.integers(engine.n)), round(float(rng.uniform(0.1, 2)), 2)
-        )
-    if kind == 1:
-        element = int(rng.integers(engine.n))
-        current = engine.weight(element)
-        if current < 0.05:
-            return WeightIncrease(element, 0.5)
-        return WeightDecrease(element, round(min(current * 0.5, 1.0), 3))
-    u, v = map(int, rng.choice(engine.n, size=2, replace=False))
-    if kind == 2:
-        return DistanceIncrease(u, v, round(float(rng.uniform(0.01, 0.2)), 2))
-    current = engine.distance(u, v)
-    if current < 0.05:
-        return DistanceIncrease(u, v, 0.1)
-    return DistanceDecrease(u, v, round(min(current * 0.25, 0.2), 2))
 
 
 class TestBuilderValidation:
@@ -123,14 +87,14 @@ class TestSingleEventEquivalence:
     @given(n=st.integers(min_value=8, max_value=16), seed=seeds)
     @settings(max_examples=25, deadline=None)
     def test_batched_tick_matches_legacy_apply(self, n, seed):
-        weights, distances = _instance(n, seed)
+        weights, distances = coarse_instance(n, seed)
         p = max(4, n // 3)
         legacy = DynamicDiversifier(weights, distances, p)
         batched = DynamicDiversifier(weights, distances, p)
         uncertified = DynamicDiversifier(weights, distances, p, use_certificate=False)
         rng = np.random.default_rng(seed + 1)
         for _ in range(30):
-            perturbation = _random_perturbation(legacy, rng)
+            perturbation = random_perturbation(legacy, rng)
             expected = legacy.apply(perturbation)
             via_batch = batched.apply_events(
                 EventBatch.from_perturbations([perturbation])
@@ -149,13 +113,13 @@ class TestSingleEventEquivalence:
     @given(n=st.integers(min_value=8, max_value=14), seed=seeds)
     @settings(max_examples=15, deadline=None)
     def test_explicit_update_budget_matches(self, n, seed):
-        weights, distances = _instance(n, seed)
+        weights, distances = coarse_instance(n, seed)
         p = max(3, n // 3)
         legacy = DynamicDiversifier(weights, distances, p)
         batched = DynamicDiversifier(weights, distances, p)
         rng = np.random.default_rng(seed + 2)
         for _ in range(15):
-            perturbation = _random_perturbation(legacy, rng)
+            perturbation = random_perturbation(legacy, rng)
             expected = legacy.apply(perturbation, updates=1)
             actual = batched.apply_events(
                 EventBatch.from_perturbations([perturbation]), updates=1
@@ -170,7 +134,7 @@ class TestMultiEventTicks:
     def test_tick_instance_state_matches_sequential(self, n, seed):
         """One multi-event tick mutates the instance exactly like the same
         events applied one at a time (resolution order: sets, then deltas)."""
-        weights, distances = _instance(n, seed)
+        weights, distances = coarse_instance(n, seed)
         p = 4
         ticked = DynamicDiversifier(weights, distances, p)
         stepped = DynamicDiversifier(weights, distances, p)
@@ -178,7 +142,7 @@ class TestMultiEventTicks:
         builder = EventBatchBuilder()
         perturbations = []
         for _ in range(12):
-            perturbation = _random_perturbation(stepped, rng)
+            perturbation = random_perturbation(stepped, rng)
             builder.add(perturbation)
             perturbations.append(perturbation)
             stepped.apply(perturbation)
@@ -197,24 +161,11 @@ class TestMultiEventTicks:
     @example(n=11, seed=2724)  # tied solutions; swaps either way read +4.4e-16
     @settings(max_examples=20, deadline=None)
     def test_tick_with_budget_reaches_swap_stability(self, n, seed):
-        weights, distances = _instance(n, seed)
-        p = 4
-        engine = DynamicDiversifier(weights, distances, p)
-        # Generate against a sequentially-updated twin: repeated decreases on
-        # one element must see each other, or their batched sum can push a
-        # weight below zero and the tick correctly rejects it.
-        shadow = DynamicDiversifier(weights, distances, p)
-        rng = np.random.default_rng(seed + 4)
-        builder = EventBatchBuilder()
-        for _ in range(10):
-            perturbation = _random_perturbation(shadow, rng)
-            builder.add(perturbation)
-            shadow.apply(perturbation)
-        outcome = engine.apply_events(builder.build(), updates=5 * p)
+        engine, outcome = budget_tick(n, seed)
         # Every swap made is a true improvement: a zero-gain swap computes as
         # rounding noise of either sign, and accepting it lets two tied
         # solutions trade places until the budget runs out.
-        assert all(gain > _GAIN_TOLERANCE for _, _, gain in outcome.swaps)
+        assert all(gain > kernels.GAIN_TOLERANCE for _, _, gain in outcome.swaps)
         # No strictly improving single swap may remain (true gains on this
         # instance are 0 or ≥ ~1e-3, so only rounding noise is below the
         # tolerance).
@@ -235,7 +186,7 @@ class TestMultiEventTicks:
         )
         assert (
             kernels.best_swap_scan_from_gains(
-                gains, outside, inside, threshold=_GAIN_TOLERANCE
+                gains, outside, inside, threshold=kernels.GAIN_TOLERANCE
             )
             is None
         )
@@ -245,7 +196,7 @@ class TestInsertDelete:
     @given(n=st.integers(min_value=8, max_value=14), seed=seeds)
     @settings(max_examples=20, deadline=None)
     def test_insert_delete_round_trips_universe(self, n, seed):
-        weights, distances = _instance(n, seed)
+        weights, distances = coarse_instance(n, seed)
         p = 3
         engine = DynamicDiversifier(weights, distances, p)
         rng = np.random.default_rng(seed + 5)
@@ -271,7 +222,7 @@ class TestInsertDelete:
         assert set(engine.active_elements().tolist()) == set(range(n))
 
     def test_insert_reuses_retired_slot(self):
-        weights, distances = _instance(10, 0)
+        weights, distances = coarse_instance(10, 0)
         engine = DynamicDiversifier(weights, distances, 3)
         row = np.round(np.random.default_rng(1).uniform(1, 2, 10), 2)
         first = engine.apply_events(
@@ -287,7 +238,7 @@ class TestInsertDelete:
         assert engine.weight(first) == 2.0
 
     def test_member_delete_refills_to_p(self):
-        weights, distances = _instance(12, 3)
+        weights, distances = coarse_instance(12, 3)
         engine = DynamicDiversifier(weights, distances, 4)
         victim = sorted(engine.solution)[0]
         outcome = engine.apply_events(EventBatchBuilder().delete(victim).build())
@@ -296,7 +247,7 @@ class TestInsertDelete:
         assert outcome.metadata["refills"]
 
     def test_delete_below_p_rejected(self):
-        weights, distances = _instance(5, 4)
+        weights, distances = coarse_instance(5, 4)
         engine = DynamicDiversifier(weights, distances, 4)
         builder = EventBatchBuilder()
         builder.delete(0)
@@ -305,7 +256,7 @@ class TestInsertDelete:
             engine.apply_events(builder.build())
 
     def test_events_on_retired_slot_rejected(self):
-        weights, distances = _instance(8, 5)
+        weights, distances = coarse_instance(8, 5)
         engine = DynamicDiversifier(weights, distances, 3)
         engine.apply_events(EventBatchBuilder().delete(7).build())
         with pytest.raises(PerturbationError):
@@ -314,7 +265,7 @@ class TestInsertDelete:
             engine.apply_events(EventBatchBuilder().change_distance(0, 7, 0.1).build())
 
     def test_point_insert_rejected_by_dense_engine(self):
-        weights, distances = _instance(8, 6)
+        weights, distances = coarse_instance(8, 6)
         engine = DynamicDiversifier(weights, distances, 3)
         batch = EventBatchBuilder().insert(1.0, point=np.ones(3)).build()
         with pytest.raises(PerturbationError):
@@ -323,7 +274,7 @@ class TestInsertDelete:
 
 class TestTickValidationRollsBack:
     def test_failed_distance_event_leaves_state_unchanged(self):
-        weights, distances = _instance(10, 7)
+        weights, distances = coarse_instance(10, 7)
         engine = DynamicDiversifier(weights, distances, 3)
         before_w = [engine.weight(e) for e in range(10)]
         before_d01 = engine.distance(0, 1)
@@ -336,7 +287,7 @@ class TestTickValidationRollsBack:
         assert engine.distance(0, 1) == pytest.approx(before_d01)
 
     def test_weight_overdecrease_rejected_and_rolled_back(self):
-        weights, distances = _instance(10, 8)
+        weights, distances = coarse_instance(10, 8)
         engine = DynamicDiversifier(weights, distances, 3)
         target = int(np.argmax([engine.weight(e) for e in range(10)]))
         before = engine.weight(target)
@@ -347,7 +298,7 @@ class TestTickValidationRollsBack:
         assert engine.weight(target) == pytest.approx(before)
 
     def test_aggregate_weight_decrease_schedules_multiple_updates(self):
-        weights, distances = _instance(20, 9)
+        weights, distances = coarse_instance(20, 9)
         engine = DynamicDiversifier(weights, distances, 6)
         members = sorted(engine.solution)[:3]
         builder = EventBatchBuilder()

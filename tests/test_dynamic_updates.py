@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from repro.core.greedy import greedy_diversify
+from repro.core.kernels import GAIN_TOLERANCE
 from repro.core.objective import Objective
 from repro.data.synthetic import make_synthetic_instance
 from repro.dynamic.engine import DynamicDiversifier
@@ -28,6 +30,8 @@ from repro.dynamic.update_rules import (
 from repro.exceptions import InvalidParameterError, PerturbationError
 from repro.functions.modular import ModularFunction
 from repro.metrics.matrix import DistanceMatrix
+
+from dynamic_instances import budget_tick
 
 
 class TestPerturbationModel:
@@ -109,6 +113,20 @@ class TestUpdateRules:
         assert outcome.num_swaps == 0
         with pytest.raises(InvalidParameterError):
             update_until_stable(objective, {1, 3}, max_updates=-1)
+
+
+class TestTiedSolutions:
+    def test_update_until_stable_stops_on_a_tie(self):
+        # The n=11, seed=2724 tick state: two solutions tie exactly, and a
+        # swap between them computes as a +4.4e-16 gain, which a rule
+        # accepting any gain above 0 trades back and forth forever.
+        engine, _ = budget_tick(11, 2724)
+        objective = engine.objective
+        for start in combinations(range(objective.n), 4):
+            outcome = update_until_stable(objective, set(start), max_updates=50)
+            assert outcome.num_swaps < 50
+            assert all(gain > GAIN_TOLERANCE for _, _, gain in outcome.swaps)
+            assert best_swap(objective, set(outcome.solution)) is None
 
 
 class TestTheorem4Schedule:

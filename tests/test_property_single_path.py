@@ -7,7 +7,7 @@ graphic, transversal, restricted and truncated matroids, each with modular
 quality, facility-location quality, and a composed quality (a mixture holding
 a scaled facility location on a restricted pool) whose swap and pair scores
 reach facility location through every forwarding layer.  The local-search
-swap scan and initial pair, Greedy B's pair seeding, the dynamic update rule
+swap scan and initial pair, Greedy B's pair seeding, the dynamic update rules
 and the streaming arrival rule must pick the same move as the loops of
 :mod:`repro.testing.reference`, with gains within 1e-9.  The base-class
 feasibility masks must equal what ``swap_candidates`` / ``is_independent``
@@ -24,10 +24,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.local_search import _scan_swaps, local_search_diversify
+from repro.core.local_search import local_search_diversify
 from repro.core.objective import Objective
 from repro.core.streaming import StreamingDiversifier
-from repro.dynamic.update_rules import best_swap
+from repro.dynamic.update_rules import best_swap, oblivious_update, update_until_stable
 from repro.functions.facility_location import FacilityLocationFunction
 from repro.functions.mixtures import MixtureFunction, ScaledFunction
 from repro.functions.modular import ModularFunction
@@ -193,13 +193,12 @@ class TestLocalSearchPaths:
         tracker = objective.make_tracker(selected)
         weights = kernels.modular_weights(objective.quality)
         for first in (False, True):
-            move = _scan_swaps(
+            move, _ = kernels.best_swap_scan(
                 objective,
-                matroid,
                 selected,
-                tracker,
-                0.0,
-                weights,
+                tracker.marginals_view(),
+                weights=weights,
+                matroid=matroid,
                 first_improvement=first,
             )
             expected = scan_swaps_reference(
@@ -257,6 +256,26 @@ class TestCardinalityPaths:
         _assert_same_move(
             best_swap(objective, solution), best_swap_reference(objective, solution)
         )
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds)
+    def test_update_rules_match_local_search_reference(self, quality, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 14))
+        objective = _objective(rng, n, quality)
+        size = int(rng.integers(1, n))
+        solution = set(rng.choice(n, size=size, replace=False).tolist())
+        matroid = UniformMatroid(n, size)
+        for outcome, max_swaps in (
+            (update_until_stable(objective, solution), None),
+            (oblivious_update(objective, solution), 1),
+        ):
+            selection, swaps, value = local_search_reference(
+                objective, matroid, initial=solution, max_swaps=max_swaps
+            )
+            assert outcome.solution == selection
+            assert outcome.num_swaps == swaps
+            assert outcome.objective_value == pytest.approx(value, abs=TOLERANCE)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=seeds)

@@ -393,9 +393,10 @@ class TestCorpusPersistence:
     def test_load_rejects_wrong_payload(self, tmp_path, corpus):
         import pickle
 
+        from repro.durability.snapshot import write_framed
+
         path = str(tmp_path / "not_a_corpus.pkl")
-        with open(path, "wb") as handle:
-            pickle.dump({"not": "a snapshot"}, handle)
+        write_framed(path, pickle.dumps({"not": "a snapshot"}))
         with pytest.raises(InvalidParameterError):
             PreparedCorpus.load(path)
 

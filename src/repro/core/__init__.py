@@ -27,10 +27,12 @@ its experiments compare against:
 * :func:`~repro.core.solver.solve` — a single entry point that validates
   inputs and dispatches to the appropriate algorithm.
 * :class:`~repro.core.restriction.Restriction` — first-class query-scoped
-  sub-universe views; every algorithm's ``candidates=`` argument routes
-  through it (index-remapped weight slices, submatrix metric views,
-  restricted matroids), so restricted solves run on the same vectorized
-  kernels as full-universe ones.
+  sub-universe views (index-remapped weight slices, submatrix metric views,
+  restricted matroids).  The algorithms run on the ground set they are
+  given; a pool enters through ``candidates=`` on ``solve``,
+  ``solve_sharded``, ``solve_many`` and the serving corpus, or through
+  ``Objective.restrict(pool)`` plus ``Restriction.lift``, so restricted
+  solves run on the same vectorized kernels as full-universe ones.
 * :func:`~repro.core.batch.solve_many` — the batched multi-query front end:
   many candidate pools against one shared corpus with zero per-query O(n²)
   work, optionally mapped over a thread pool for oracle-free instances.

@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -94,7 +94,6 @@ def gollapudi_sharma_greedy(
     objective: Objective,
     p: int,
     *,
-    candidates: Optional[Iterable[Element]] = None,
     improved: bool = False,
 ) -> SolverResult:
     """Greedy A: reduction to dispersion + the HRT edge greedy.
@@ -105,19 +104,11 @@ def gollapudi_sharma_greedy(
         Must have a modular quality function (the reduction needs weights).
     p:
         Target cardinality.
-    candidates:
-        Optional candidate pool, routed through the restriction layer
-        (:meth:`~repro.core.objective.Objective.restrict`).
     improved:
         When ``True`` and ``p`` is odd, the final singleton vertex is chosen
         to maximize the true objective rather than arbitrarily (the
         "improved Greedy A" of Table 3).
     """
-    if candidates is not None:
-        restriction = objective.restrict(candidates)
-        result = gollapudi_sharma_greedy(restriction.objective, p, improved=improved)
-        return restriction.lift(result)
-
     started = time.perf_counter()
     pool: List[Element] = list(range(objective.n))
     p = min(p, len(pool))
@@ -165,12 +156,7 @@ def gollapudi_sharma_greedy(
     )
 
 
-def matching_diversify(
-    objective: Objective,
-    p: int,
-    *,
-    candidates: Optional[Iterable[Element]] = None,
-) -> SolverResult:
+def matching_diversify(objective: Objective, p: int) -> SolverResult:
     """Hassin–Rubinstein–Tamir matching algorithm through the GS reduction.
 
     Computes a maximum-weight matching with exactly ⌊p/2⌋ edges under the
@@ -178,14 +164,10 @@ def matching_diversify(
     vertex when ``p`` is odd).  Achieves a (2 − 1/⌈p/2⌉)-approximation for
     modular quality.
 
-    Uses :mod:`networkx` for the maximum-weight matching.  A ``candidates``
-    pool is routed through the restriction layer.
+    Needs :mod:`networkx` (for the maximum-weight matching), which the
+    rest of the library does not: install it to use ``algorithm="matching"``.
     """
     import networkx as nx
-
-    if candidates is not None:
-        restriction = objective.restrict(candidates)
-        return restriction.lift(matching_diversify(restriction.objective, p))
 
     started = time.perf_counter()
     pool: List[Element] = list(range(objective.n))

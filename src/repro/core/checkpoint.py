@@ -47,14 +47,14 @@ SNAPSHOT_FORMAT_VERSION = 1
 
 
 def universe_fingerprint(*parts: Any) -> str:
-    """A short stable digest identifying the universe a snapshot belongs to.
+    """A short stable digest identifying the universe a checkpoint belongs to.
 
-    Producers stamp it from shape-defining parameters (backend kind, ``p``,
-    λ, shard layout, ...); consumers that are handed both a snapshot and a
-    live instance compare fingerprints and raise
-    :class:`~repro.exceptions.SnapshotVersionError` on mismatch — turning
-    "resumed against the wrong universe" from silent corruption into a
-    first-class error.
+    :meth:`~repro.core.control.RunControl.fingerprint` stamps solve
+    checkpoints from the solve kind, ``n``, λ and the candidate pool, and
+    :meth:`~repro.core.control.RunControl.resume` compares it with the
+    resuming solve's, raising :class:`~repro.exceptions.SnapshotVersionError`
+    on mismatch — turning "resumed against the wrong universe" from silent
+    corruption into a first-class error.
     """
     digest = hashlib.sha1("|".join(repr(part) for part in parts).encode())
     return digest.hexdigest()[:16]

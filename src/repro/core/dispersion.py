@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
-from typing import Iterable, List, Optional, Set
+from typing import List, Set
 
 from repro._types import Element
 from repro.core.objective import Objective
@@ -29,7 +29,6 @@ def greedy_dispersion(
     metric: Metric,
     p: int,
     *,
-    candidates: Optional[Iterable[Element]] = None,
     batch_size: int = 1,
 ) -> SolverResult:
     """Greedy vertex selection maximizing ``d(S)`` subject to ``|S| = p``.
@@ -40,24 +39,12 @@ def greedy_dispersion(
         The distance structure.
     p:
         Target cardinality.
-    candidates:
-        Optional candidate pool (defaults to the full universe), routed
-        through the restriction layer.
     batch_size:
         Number of vertices added per greedy step (1 = the Ravi et al.
         algorithm; larger values follow Birnbaum–Goldman).
     """
     if batch_size < 1:
         raise InvalidParameterError("batch_size must be at least 1")
-    if candidates is not None:
-        restriction = Objective(
-            ZeroFunction(metric.n), metric, tradeoff=1.0
-        ).restrict(candidates)
-        result = greedy_dispersion(
-            restriction.objective.metric, p, batch_size=batch_size
-        )
-        return restriction.lift(result)
-
     started = time.perf_counter()
     objective = Objective(ZeroFunction(metric.n), metric, tradeoff=1.0)
     pool: List[Element] = list(range(metric.n))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from itertools import combinations
 from math import comb
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -165,7 +165,6 @@ def exact_diversify(
     p: Optional[int] = None,
     *,
     matroid: Optional[Matroid] = None,
-    candidates: Optional[Iterable[Element]] = None,
     method: str = "auto",
     subset_limit: int = DEFAULT_SUBSET_LIMIT,
     node_limit: int = DEFAULT_NODE_LIMIT,
@@ -174,10 +173,7 @@ def exact_diversify(
 
     Exactly one of ``p`` and ``matroid`` must be supplied.  ``method`` is one
     of ``"auto"``, ``"branch_and_bound"`` and ``"enumerate"``; matroid
-    constraints always use enumeration of bases.  A ``candidates`` pool is
-    routed through the restriction layer: the optimum of the induced
-    sub-instance is returned (under a matroid, bases of the *restricted*
-    matroid — the maximal independent sets inside the pool — are enumerated).
+    constraints always use enumeration of bases.
     """
     if (p is None) == (matroid is None):
         raise InvalidParameterError("supply exactly one of p and matroid")
@@ -185,21 +181,6 @@ def exact_diversify(
         raise InvalidParameterError(f"unknown exact method {method!r}")
     if matroid is not None and matroid.n != objective.n:
         raise InvalidParameterError("matroid and objective universes differ")
-    if candidates is not None:
-        restriction = objective.restrict(candidates)
-        sub_matroid = (
-            matroid.restrict(restriction.candidates) if matroid is not None else None
-        )
-        result = exact_diversify(
-            restriction.objective,
-            p,
-            matroid=sub_matroid,
-            method=method,
-            subset_limit=subset_limit,
-            node_limit=node_limit,
-        )
-        return restriction.lift(result)
-
     started = time.perf_counter()
     pool: List[Element] = list(range(objective.n))
 
@@ -258,12 +239,9 @@ def exact_dispersion(
     metric: Metric,
     p: int,
     *,
-    candidates: Optional[Iterable[Element]] = None,
     method: str = "auto",
     subset_limit: int = DEFAULT_SUBSET_LIMIT,
 ) -> SolverResult:
     """Exact max-sum p-dispersion (the ``f ≡ 0`` special case)."""
     objective = Objective(ZeroFunction(metric.n), metric, tradeoff=1.0)
-    return exact_diversify(
-        objective, p, candidates=candidates, method=method, subset_limit=subset_limit
-    )
+    return exact_diversify(objective, p, method=method, subset_limit=subset_limit)

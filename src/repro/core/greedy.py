@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from typing import Iterable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro._types import Element
 from repro.core import kernels
@@ -50,7 +50,6 @@ def greedy_diversify(
     objective: Objective,
     p: int,
     *,
-    candidates: Optional[Iterable[Element]] = None,
     start: str = "potential",
     oblivious: bool = False,
     lazy: Optional[bool] = None,
@@ -63,15 +62,12 @@ def greedy_diversify(
     objective:
         The combined objective ``φ``.
     p:
-        Target cardinality ``|S| = p`` (values larger than the candidate pool
-        are clamped to the pool size).
-    candidates:
-        Optional subset of the universe to select from (defaults to all
-        elements).  Routed through the restriction layer
-        (:meth:`~repro.core.objective.Objective.restrict`): the greedy runs
-        on the re-indexed sub-instance — kernels included — and the result is
-        lifted back.  Used by the LETOR experiments to restrict to the top-k
-        documents of a query.
+        Target cardinality ``|S| = p`` (values larger than ``objective.n``
+        are clamped to it).  To select from a pool, run on
+        ``objective.restrict(pool).objective`` and
+        :meth:`~repro.core.restriction.Restriction.lift` the result, or call
+        :func:`~repro.core.solver.solve` with ``candidates=``, which also
+        binds checkpoints to the pool.
     start:
         ``"potential"`` (the paper's algorithm) or ``"best_pair"`` (the
         improved variant of Table 3).
@@ -99,18 +95,6 @@ def greedy_diversify(
     SolverResult
         The selected set, its objective decomposition and the insertion order.
     """
-    if candidates is not None:
-        restriction = objective.restrict(candidates)
-        result = greedy_diversify(
-            restriction.objective,
-            p,
-            start=start,
-            oblivious=oblivious,
-            lazy=lazy,
-            control=RunControl.coerce(control).scoped(restriction.candidates),
-        )
-        return restriction.lift(result)
-
     started = time.perf_counter()
     control = RunControl.coerce(control)
     deadline, trace = control.deadline, control.trace

@@ -180,10 +180,15 @@ def local_search_diversify(
     *,
     config: Optional[LocalSearchConfig] = None,
     initial: Optional[Iterable[Element]] = None,
-    candidates: Optional[Iterable[Element]] = None,
     control: Optional[RunControl] = None,
 ) -> SolverResult:
     """Run the single-swap local search under a matroid constraint.
+
+    The search runs over the whole ground set of ``objective``.  To search a
+    candidate pool, take ``r = objective.restrict(pool)``, run on
+    ``r.objective`` under ``matroid.restrict(r.candidates)`` (with
+    ``initial`` mapped by ``r.to_local``) and ``r.lift`` the result, which
+    is what :func:`~repro.core.solver.solve` does with ``candidates=``.
 
     Parameters
     ----------
@@ -197,12 +202,6 @@ def local_search_diversify(
     initial:
         Optional independent set to start from instead of the paper's
         best-pair initialization.  It is extended to a basis first.
-    candidates:
-        Optional candidate pool, routed through the restriction layer: both
-        the objective and the matroid are restricted
-        (:meth:`~repro.matroids.base.Matroid.restrict`), the search runs on
-        the sub-instance, and the result is lifted back.  ``initial`` (when
-        given) must lie inside the pool.
     control:
         Optional :class:`~repro.core.control.RunControl`.  Its deadline is
         checked before every swap scan (swaps preserve independence, so the
@@ -215,18 +214,6 @@ def local_search_diversify(
             f"matroid covers {matroid.n} elements but the objective covers "
             f"{objective.n}"
         )
-    if candidates is not None:
-        restriction = objective.restrict(candidates)
-        sub_initial = restriction.to_local(initial) if initial is not None else None
-        result = local_search_diversify(
-            restriction.objective,
-            matroid.restrict(restriction.candidates),
-            config=config,
-            initial=sub_initial,
-            control=control,
-        )
-        return restriction.lift(result)
-
     started = time.perf_counter()
     deadline = control.deadline
     if initial is None:

@@ -14,7 +14,7 @@ is supplied.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Set
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -30,7 +30,6 @@ def mmr_select(
     p: int,
     *,
     theta: float = 0.5,
-    candidates: Optional[Iterable[Element]] = None,
     similarity: Optional[np.ndarray] = None,
 ) -> SolverResult:
     """Select ``p`` elements with the MMR heuristic.
@@ -46,10 +45,6 @@ def mmr_select(
         The MMR trade-off (the paper's λ in the MMR definition; renamed to
         avoid clashing with the diversification trade-off).  1.0 is pure
         relevance, 0.0 is pure novelty.
-    candidates:
-        Optional candidate pool, routed through the restriction layer
-        (:meth:`~repro.core.objective.Objective.restrict`); an explicit
-        ``similarity`` matrix is restricted alongside the instance.
     similarity:
         Optional explicit ``n x n`` similarity matrix overriding the
         metric-derived one.
@@ -61,17 +56,6 @@ def mmr_select(
             raise InvalidParameterError(
                 "similarity matrix shape must match the universe size"
             )
-    if candidates is not None:
-        restriction = objective.restrict(candidates)
-        sub_similarity = None
-        if similarity is not None:
-            idx = np.asarray(restriction.candidates, dtype=int)
-            sub_similarity = similarity[np.ix_(idx, idx)]
-        result = mmr_select(
-            restriction.objective, p, theta=theta, similarity=sub_similarity
-        )
-        return restriction.lift(result)
-
     started = time.perf_counter()
     pool: List[Element] = list(range(objective.n))
     p = min(p, len(pool))

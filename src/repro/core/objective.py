@@ -189,8 +189,9 @@ class Objective:
 
         Returns a :class:`~repro.core.restriction.Restriction` bundling the
         re-indexed objective (weight slice + submatrix view, same λ) with the
-        index maps and result lifting every algorithm's ``candidates=`` path
-        routes through.
+        index maps and the result lifting.  Running an algorithm on
+        ``restriction.objective`` and lifting its result is how every
+        ``candidates=`` front door solves a pool.
         """
         from repro.core.restriction import Restriction
 

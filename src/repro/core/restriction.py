@@ -2,8 +2,8 @@
 
 A production diversifier serves queries against one shared corpus: the metric
 (and the quality weights) cover the whole universe, but each query selects
-from its own candidate pool.  :class:`Restriction` is the single mechanism
-every algorithm uses to honor a ``candidates=`` argument:
+from its own candidate pool.  :class:`Restriction` is the one mechanism that
+narrows an instance to a pool:
 
 1. build the index-remapped sub-instance — a weight-vector slice for modular
    quality (:meth:`~repro.functions.base.SetFunction.restrict`), a submatrix
@@ -13,10 +13,14 @@ every algorithm uses to honor a ``candidates=`` argument:
 2. run the unmodified algorithm — kernels included — on the sub-instance;
 3. :meth:`Restriction.lift` the result back into the corpus' indices.
 
-This replaces the previous per-algorithm hand-rolled candidate-pool loops,
-which diverged (``solve(..., algorithm="local_search", candidates=...)``
-silently ignored the pool) and kept the kernels operating on the full
-universe.  :mod:`repro.core.batch` builds the multi-query front end on top.
+The algorithms themselves take no pool.  The front doors that do —
+:func:`~repro.core.solver.solve`, :func:`~repro.core.sharding.solve_sharded`,
+:func:`~repro.core.batch.solve_many` and
+:class:`~repro.serve.PreparedCorpus` — run these three steps; any other
+caller runs them directly::
+
+    restriction = objective.restrict(pool)
+    result = restriction.lift(greedy_diversify(restriction.objective, p))
 """
 
 from __future__ import annotations

@@ -237,7 +237,6 @@ def streaming_diversify(
     arrival_order: Optional[Iterable[Element]] = None,
     *,
     improvement_margin: float = 0.0,
-    candidates: Optional[Iterable[Element]] = None,
     control: Optional[RunControl] = None,
 ) -> SolverResult:
     """One-shot convenience wrapper: stream the universe through a StreamingDiversifier.
@@ -249,32 +248,15 @@ def streaming_diversify(
     p:
         Maximum solution size.
     arrival_order:
-        The order in which elements arrive (defaults to index order; with a
-        candidate pool, to the pool's order).
+        The order in which elements arrive (defaults to index order).  To
+        stream a pool, run on ``r = objective.restrict(pool)`` with arrivals
+        mapped by ``r.to_local`` and ``r.lift`` the result.
     improvement_margin:
         Forwarded to :class:`StreamingDiversifier`.
-    candidates:
-        Optional candidate pool, routed through the restriction layer: the
-        stream runs over the re-indexed sub-instance and the result is lifted
-        back.  Every arrival must belong to the pool.
     control:
         Optional :class:`~repro.core.control.RunControl`, as for
         :meth:`StreamingDiversifier.process_stream`.
     """
-    if candidates is not None:
-        restriction = objective.restrict(candidates)
-        sub_order = (
-            None if arrival_order is None else restriction.to_local(arrival_order)
-        )
-        result = streaming_diversify(
-            restriction.objective,
-            p,
-            sub_order,
-            improvement_margin=improvement_margin,
-            control=control,
-        )
-        return restriction.lift(result)
-
     started = time.perf_counter()
     control = RunControl.coerce(control)
     order: Tuple[Element, ...] = (

@@ -43,11 +43,7 @@ import numpy as np
 
 from repro._types import Element
 from repro.core import kernels
-from repro.core.checkpoint import (
-    SNAPSHOT_FORMAT_VERSION,
-    check_snapshot_version,
-    universe_fingerprint,
-)
+from repro.core.checkpoint import SNAPSHOT_FORMAT_VERSION, check_snapshot_version
 from repro.core.exact import exact_diversify
 from repro.core.greedy import greedy_diversify
 from repro.core.objective import Objective
@@ -81,9 +77,8 @@ class EngineSnapshot:
     every slot is live, which keeps old pickles loadable).  The perturbation
     history is deliberately not captured: it is diagnostic, bounded, and the
     restored engine starts a fresh one (``applied_perturbations`` records
-    how many events the snapshot had seen).  ``format_version`` and
-    ``fingerprint`` support the durability layer's compatibility checks;
-    both default so pre-versioning pickles still load.
+    how many events the snapshot had seen).  ``format_version`` is checked
+    on restore (:func:`~repro.core.checkpoint.check_snapshot_version`).
     """
 
     weights: np.ndarray
@@ -95,7 +90,6 @@ class EngineSnapshot:
     applied_perturbations: int = 0
     active: Optional[Tuple[Element, ...]] = None
     format_version: int = SNAPSHOT_FORMAT_VERSION
-    fingerprint: Optional[str] = None
 
     def save(self, path: str) -> None:
         """Pickle the snapshot to ``path``."""
@@ -228,11 +222,6 @@ class DynamicDiversifier:
     @property
     def n(self) -> int:
         """Slot count of the universe (live plus retired slots)."""
-        return self._distances.n
-
-    @property
-    def num_slots(self) -> int:
-        """Alias of :attr:`n` emphasising that retired slots are counted."""
         return self._distances.n
 
     @property
@@ -648,8 +637,9 @@ class DynamicDiversifier:
         if self.active_count == self.n:
             result = greedy_diversify(self.objective, self._p)
         else:
-            result = greedy_diversify(
-                self.objective, self._p, candidates=self.active_elements()
+            restriction = self._active_restriction()
+            result = restriction.lift(
+                greedy_diversify(restriction.objective, self._p)
             )
         self._solution = set(result.selected)
         self._cache_valid = False
@@ -679,9 +669,6 @@ class DynamicDiversifier:
             validate_metric=self._validate_metric,
             applied_perturbations=self._applied,
             active=tuple(int(e) for e in self.active_elements()),
-            fingerprint=universe_fingerprint(
-                "dense", self._p, self._tradeoff, self._distances.n
-            ),
         )
 
     @classmethod

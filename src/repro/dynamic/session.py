@@ -51,11 +51,7 @@ from typing import (
 import numpy as np
 
 from repro._types import Element
-from repro.core.checkpoint import (
-    SNAPSHOT_FORMAT_VERSION,
-    check_snapshot_version,
-    universe_fingerprint,
-)
+from repro.core.checkpoint import SNAPSHOT_FORMAT_VERSION, check_snapshot_version
 from repro.core.control import RunControl
 from repro.core.greedy import greedy_diversify
 from repro.core.objective import Objective
@@ -135,7 +131,6 @@ class SessionSnapshot:
     degraded: bool = False
     core_stale: bool = False
     format_version: int = SNAPSHOT_FORMAT_VERSION
-    fingerprint: Optional[str] = None
 
     def save(self, path: str) -> None:
         """Pickle the snapshot to ``path``."""
@@ -577,14 +572,6 @@ class ShardedDynamicEngine:
             ),
             degraded=self._degraded,
             core_stale=self._core_stale,
-            fingerprint=universe_fingerprint(
-                "sharded",
-                self._p,
-                self._tradeoff,
-                self._points.shape[1],
-                self._shard_size,
-                self._per_shard_p,
-            ),
         )
 
     @classmethod

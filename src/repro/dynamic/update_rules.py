@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro._types import Element
 from repro.core import kernels
@@ -73,10 +73,7 @@ class UpdateOutcome:
 
 
 def best_swap(
-    objective: Objective,
-    solution: Set[Element],
-    *,
-    candidates: Optional[Iterable[Element]] = None,
+    objective: Objective, solution: Set[Element]
 ) -> Optional[Tuple[Element, Element, float]]:
     """Return the best single swap ``(incoming, outgoing, gain)`` or ``None``.
 
@@ -87,21 +84,7 @@ def best_swap(
     The scan is one :func:`~repro.core.kernels.best_swap_scan`, with the
     distance marginals ``d_u(S)`` read from a tracker of ``S``, as the local
     search reads them.
-
-    ``candidates`` restricts the incoming elements to a query-scoped pool
-    (through the restriction layer, so the vectorized scan runs on the
-    re-indexed sub-instance); the current ``solution`` must lie inside the
-    pool.
     """
-    if candidates is not None:
-        restriction = objective.restrict(candidates)
-        local_solution = set(restriction.to_local(solution))
-        move = best_swap(restriction.objective, local_solution)
-        if move is None:
-            return None
-        incoming, outgoing, gain = move
-        pool = restriction.candidates
-        return pool[incoming], pool[outgoing], gain
     move, _ = kernels.best_swap_scan(
         objective,
         solution,
@@ -111,20 +94,12 @@ def best_swap(
     return move
 
 
-def oblivious_update(
-    objective: Objective,
-    solution: Set[Element],
-    *,
-    candidates: Optional[Iterable[Element]] = None,
-) -> UpdateOutcome:
+def oblivious_update(objective: Objective, solution: Set[Element]) -> UpdateOutcome:
     """Apply the oblivious single-swap update rule exactly once.
 
-    :func:`update_until_stable` with one update; ``candidates`` restricts
-    the incoming elements to a pool (see :func:`best_swap`).
+    :func:`update_until_stable` with one update.
     """
-    return update_until_stable(
-        objective, solution, max_updates=1, candidates=candidates
-    )
+    return update_until_stable(objective, solution, max_updates=1)
 
 
 def update_until_stable(
@@ -132,14 +107,11 @@ def update_until_stable(
     solution: Set[Element],
     *,
     max_updates: Optional[int] = None,
-    candidates: Optional[Iterable[Element]] = None,
 ) -> UpdateOutcome:
     """Apply the oblivious rule repeatedly until no swap improves (or a cap hits).
 
     This is the local search of Section 5 started at ``solution`` under the
     uniform matroid ``U(|S|, n)``, capped at ``max_updates`` swaps.
-    ``candidates`` restricts the incoming elements to a pool (see
-    :func:`best_swap`).
     """
     current = set(solution)
     result = local_search_diversify(
@@ -147,7 +119,6 @@ def update_until_stable(
         UniformMatroid(objective.n, len(current)),
         initial=current,
         config=LocalSearchConfig(max_swaps=max_updates),
-        candidates=candidates,
     )
     return UpdateOutcome(
         solution=result.selected,

@@ -13,7 +13,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from repro._types import Element
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, NonFiniteDataError
 from repro.functions.base import Candidates, GainState, SetFunction
 from repro.utils.validation import check_candidate_pool, check_finite_array
 
@@ -94,32 +94,19 @@ class ModularFunction(SetFunction):
         return float(self._weights[element])
 
     def set_weight(self, element: Element, value: float) -> None:
-        """Set ``w(element) = value`` (must stay non-negative)."""
+        """Set ``w(element) = value`` (must stay finite and non-negative)."""
+        index = int(element)
+        if not 0 <= index < self.n:
+            raise InvalidParameterError(
+                f"element {element} is outside the universe of {self.n} elements"
+            )
+        if not np.isfinite(value):
+            raise NonFiniteDataError(
+                f"weight of element {element} must be finite, got {value!r}"
+            )
         if value < 0:
             raise InvalidParameterError("weights must be non-negative")
-        self._weights[element] = value
-
-    def update_weights(
-        self,
-        elements: Union[np.ndarray, Iterable[Element]],
-        values: Union[np.ndarray, Iterable[float]],
-    ) -> None:
-        """Vectorized batch of :meth:`set_weight` assignments.
-
-        With a repeated element the *last* assignment wins (NumPy fancy-index
-        semantics), matching a sequential loop of ``set_weight`` calls — the
-        contract the batched event tick relies on.
-        """
-        idx = np.asarray(elements, dtype=int)
-        vals = np.asarray(values, dtype=float)
-        if idx.shape != vals.shape:
-            raise InvalidParameterError(
-                "elements and values must have matching shapes"
-            )
-        check_finite_array("weights", vals)
-        if np.any(vals < 0):
-            raise InvalidParameterError("weights must be non-negative")
-        self._weights[idx] = vals
+        self._weights[index] = value
 
     @classmethod
     def _from_storage(cls, array: np.ndarray) -> "ModularFunction":

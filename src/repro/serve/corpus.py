@@ -45,7 +45,6 @@ from repro.core.checkpoint import (
     check_snapshot_version,
     load_checkpoint,
     save_checkpoint,
-    universe_fingerprint,
 )
 from repro.core.control import RunControl
 from repro.core.local_search import LocalSearchConfig
@@ -107,9 +106,8 @@ class CorpusSnapshot:
     restarted serving process rebuilds its corpus warm — no re-derivation, no
     re-materialization — via :meth:`PreparedCorpus.restore`.
 
-    ``format_version`` and ``fingerprint`` guard restores the same way the
-    solver and dynamic snapshots are guarded: a snapshot from a newer format
-    or a different corpus raises
+    ``format_version`` guards restores the same way the solver and dynamic
+    snapshots are guarded: a snapshot from a newer format raises
     :class:`~repro.exceptions.SnapshotVersionError` instead of rebuilding
     silently-wrong state.
     """
@@ -119,7 +117,6 @@ class CorpusSnapshot:
     tradeoff: float
     config: Dict[str, Any] = field(default_factory=dict)
     format_version: int = SNAPSHOT_FORMAT_VERSION
-    fingerprint: Optional[str] = None
 
     def save(self, path: str) -> None:
         """Pickle the snapshot to ``path``, atomically inside a checksummed
@@ -500,9 +497,6 @@ class PreparedCorpus:
             metric=self._metric,
             tradeoff=self.tradeoff,
             config=self._config(),
-            fingerprint=universe_fingerprint(
-                "corpus", self.n, self.tradeoff, self._quality.is_modular
-            ),
         )
 
     def save(self, path: str) -> None:

@@ -317,14 +317,6 @@ class TestPoolBoundCheckpoints:
                 candidates=POOL_B,
                 control=RunControl(resume_from=checkpoints[0]),
             )
-        objective = Objective(instance.quality, instance.metric, instance.tradeoff)
-        with pytest.raises(SnapshotVersionError):
-            greedy_diversify(
-                objective,
-                6,
-                candidates=POOL_B,
-                control=RunControl(resume_from=checkpoints[0]),
-            )
 
     def test_full_universe_checkpoint_does_not_resume_a_pool_of_size_n(
         self, instance

@@ -6,7 +6,9 @@ import pytest
 
 from repro.core.dispersion import greedy_dispersion
 from repro.core.exact import exact_dispersion
+from repro.core.objective import Objective
 from repro.exceptions import InvalidParameterError
+from repro.functions.modular import ZeroFunction
 from repro.metrics.discrete import UniformRandomMetric
 from repro.metrics.euclidean import EuclideanMetric
 
@@ -46,7 +48,10 @@ class TestGreedyDispersion:
 
     def test_candidate_restriction(self):
         metric = UniformRandomMetric(10, seed=1)
-        result = greedy_dispersion(metric, 3, candidates=[0, 1, 2, 3])
+        restriction = Objective(ZeroFunction(10), metric, tradeoff=1.0).restrict(
+            [0, 1, 2, 3]
+        )
+        result = restriction.lift(greedy_dispersion(restriction.objective.metric, 3))
         assert result.selected <= {0, 1, 2, 3}
 
     def test_dispersion_equals_objective_value(self):

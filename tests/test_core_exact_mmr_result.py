@@ -67,7 +67,8 @@ class TestExact:
         assert result.quality_value == 0.0
 
     def test_candidates_restriction(self, synthetic_objective_20):
-        result = exact_diversify(synthetic_objective_20, 3, candidates=range(6))
+        restriction = synthetic_objective_20.restrict(range(6))
+        result = restriction.lift(exact_diversify(restriction.objective, 3))
         assert result.selected <= set(range(6))
 
     def test_p_zero(self, synthetic_objective_20):
@@ -99,7 +100,8 @@ class TestMMR:
             mmr_select(small_objective, 2, similarity=np.ones((3, 3)))
 
     def test_candidates_restriction(self, synthetic_objective_20):
-        result = mmr_select(synthetic_objective_20, 3, candidates=[0, 1, 2, 3])
+        restriction = synthetic_objective_20.restrict([0, 1, 2, 3])
+        result = restriction.lift(mmr_select(restriction.objective, 3))
         assert result.selected <= {0, 1, 2, 3}
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core.exact import exact_diversify
 from repro.core.greedy import greedy_diversify
 from repro.core.objective import Objective
+from repro.core.solver import solve
 from repro.data.synthetic import make_synthetic_instance
 from repro.exceptions import InvalidParameterError
 from repro.functions.coverage import CoverageFunction
@@ -51,12 +52,20 @@ class TestBasics:
 
     def test_candidate_restriction_respected(self, synthetic_objective_20):
         candidates = [0, 1, 2, 3, 4, 5]
-        result = greedy_diversify(synthetic_objective_20, 3, candidates=candidates)
+        restriction = synthetic_objective_20.restrict(candidates)
+        result = restriction.lift(greedy_diversify(restriction.objective, 3))
         assert result.selected <= set(candidates)
 
     def test_invalid_candidate_rejected(self, synthetic_objective_20):
         with pytest.raises(InvalidParameterError):
-            greedy_diversify(synthetic_objective_20, 3, candidates=[0, 99])
+            solve(
+                synthetic_objective_20.quality,
+                synthetic_objective_20.metric,
+                tradeoff=synthetic_objective_20.tradeoff,
+                p=3,
+                algorithm="greedy",
+                candidates=[0, 99],
+            )
 
     def test_unknown_start_rejected(self, synthetic_objective_20):
         with pytest.raises(InvalidParameterError):

@@ -770,6 +770,13 @@ def test_crash_anywhere_recovers_uncrashed_state(
 # Snapshot files: one framed writer for all four snapshot types
 # ----------------------------------------------------------------------
 SNAPSHOT_KINDS = ("solve", "engine", "session", "corpus")
+#: A plain-valued field of each snapshot type that a round trip must keep.
+ROUND_TRIP_FIELD = {
+    "solve": "order",
+    "engine": "solution",
+    "session": "solution",
+    "corpus": "tradeoff",
+}
 
 
 def _snapshot_of(kind):
@@ -802,7 +809,9 @@ class TestSnapshotFiles:
         snapshot.save(path)
         loaded = type(snapshot).load(path)
         assert type(loaded) is type(snapshot)
-        assert loaded.fingerprint == snapshot.fingerprint
+        assert loaded.format_version == snapshot.format_version
+        field = ROUND_TRIP_FIELD[kind]
+        assert getattr(loaded, field) == getattr(snapshot, field)
 
     @pytest.mark.parametrize("damage", ["truncated", "flipped", "extended", "plain"])
     @pytest.mark.parametrize("kind", SNAPSHOT_KINDS)
@@ -836,7 +845,8 @@ class TestSnapshotFiles:
 
 
 # ----------------------------------------------------------------------
-# Snapshot versioning and fingerprints (all four snapshot types)
+# Snapshot versioning (all four snapshot types) and the solve-checkpoint
+# fingerprint
 # ----------------------------------------------------------------------
 class TestSnapshotVersioning:
     def test_unversioned_objects_rejected(self):
@@ -872,7 +882,6 @@ class TestSnapshotVersioning:
         session = DynamicSession(weights, 4, distances=distances)
         snapshot = session.snapshot()
         assert snapshot.format_version == SNAPSHOT_FORMAT_VERSION
-        assert snapshot.fingerprint is not None
         bumped = dataclasses.replace(
             snapshot, format_version=SNAPSHOT_FORMAT_VERSION + 1
         )
@@ -884,7 +893,6 @@ class TestSnapshotVersioning:
         session = DynamicSession(weights, 5, points=points, shard_size=16)
         snapshot = session.snapshot()
         assert snapshot.format_version == SNAPSHOT_FORMAT_VERSION
-        assert snapshot.fingerprint is not None
         bumped = dataclasses.replace(
             snapshot, format_version=SNAPSHOT_FORMAT_VERSION + 1
         )
@@ -904,7 +912,6 @@ class TestSnapshotVersioning:
         )
         snapshot = corpus.snapshot()
         assert snapshot.format_version == SNAPSHOT_FORMAT_VERSION
-        assert snapshot.fingerprint is not None
         bumped = dataclasses.replace(
             snapshot, format_version=SNAPSHOT_FORMAT_VERSION + 1
         )

@@ -350,9 +350,11 @@ class TestUpdateRuleCandidates:
     def test_best_swap_respects_pool(self):
         objective = self._objective()
         solution = {0, 1}
-        move = best_swap(objective, solution, candidates=[0, 1, 4])
+        restriction = objective.restrict([0, 1, 4])
+        move = best_swap(restriction.objective, set(restriction.to_local(solution)))
         if move is not None:
-            incoming, outgoing, gain = move
+            incoming, outgoing = restriction.to_global(move[:2])
+            gain = move[2]
             assert incoming in {0, 1, 4}
             assert gain == pytest.approx(
                 objective.value(solution - {outgoing} | {incoming})
@@ -367,29 +369,35 @@ class TestUpdateRuleCandidates:
         local_move = best_swap(
             restricted.objective, set(restricted.to_local(solution))
         )
-        pooled_move = best_swap(objective, solution, candidates=pool)
-        if local_move is None:
-            assert pooled_move is None
+        # The best single swap over the pool, scored on the full instance.
+        gains = {
+            (incoming, outgoing): objective.value(solution - {outgoing} | {incoming})
+            - objective.value(solution)
+            for incoming in set(pool) - solution
+            for outgoing in solution
+        }
+        pooled_move = max(gains, key=gains.get)
+        if gains[pooled_move] <= GAIN_TOLERANCE:
+            assert local_move is None
         else:
-            lifted = (
-                pool[local_move[0]],
-                pool[local_move[1]],
-                local_move[2],
-            )
-            assert pooled_move[:2] == lifted[:2]
-            assert pooled_move[2] == pytest.approx(lifted[2])
+            lifted = tuple(restricted.to_global(local_move[:2]))
+            assert lifted == pooled_move
+            assert local_move[2] == pytest.approx(gains[pooled_move])
 
     def test_solution_outside_pool_rejected(self):
         objective = self._objective()
         with pytest.raises(InvalidParameterError):
-            best_swap(objective, {0, 3}, candidates=[0, 1, 2])
+            objective.restrict([0, 1, 2]).to_local({0, 3})
 
     def test_update_until_stable_stays_in_pool(self):
         objective = self._objective()
         pool = [0, 1, 2]
-        outcome = update_until_stable(objective, {0, 1}, candidates=pool)
-        assert outcome.solution <= set(pool)
-        assert best_swap(objective, set(outcome.solution), candidates=pool) is None
+        restriction = objective.restrict(pool)
+        outcome = update_until_stable(
+            restriction.objective, set(restriction.to_local({0, 1}))
+        )
+        assert set(restriction.to_global(outcome.solution)) <= set(pool)
+        assert best_swap(restriction.objective, set(outcome.solution)) is None
 
 
 class TestRatioMaintenance:

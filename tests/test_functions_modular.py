@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, NonFiniteDataError
 from repro.functions.modular import ModularFunction, ZeroFunction
 from repro.functions.verification import (
     check_normalized,
@@ -45,6 +45,21 @@ class TestModularFunction:
         assert clone.weight(0) == 1.0
         with pytest.raises(InvalidParameterError):
             f.set_weight(0, -1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_set_weight_rejects_non_finite(self, value):
+        f = ModularFunction([1.0, 2.0])
+        with pytest.raises(NonFiniteDataError):
+            f.set_weight(0, value)
+        assert f.weight(0) == 1.0
+        assert f.value([0, 1]) == 3.0
+
+    @pytest.mark.parametrize("element", [-1, 2])
+    def test_set_weight_rejects_element_outside_universe(self, element):
+        f = ModularFunction([1.0, 2.0])
+        with pytest.raises(InvalidParameterError):
+            f.set_weight(element, 9.0)
+        assert list(f.weights) == [1.0, 2.0]
 
     def test_weights_property_is_copy(self):
         f = ModularFunction([1.0, 2.0])

@@ -1,22 +1,35 @@
 """Tests for the sub-universe restriction layer.
 
-Covers the three layers the ``candidates=`` path is built from —
+Covers the three layers a pool restriction is built from —
 ``Metric.restrict`` / ``SetFunction.restrict`` / ``Matroid.restrict`` — the
-:class:`~repro.core.restriction.Restriction` bundle, and the property every
-algorithm must satisfy: solving with ``candidates=C`` equals solving the
+:class:`~repro.core.restriction.Restriction` bundle, the property every
+algorithm must satisfy: ``solve(..., candidates=C)`` equals solving the
 induced sub-instance (``metric.restrict(C)``, sliced weights) lifted back,
-and never selects outside ``C``.
+and never selects outside ``C`` — and that the algorithms themselves take no
+pool: one enters through a front door such as ``solve`` or through
+``Objective.restrict`` plus ``Restriction.lift``.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
+from repro.core.baselines import gollapudi_sharma_greedy, matching_diversify
+from repro.core.dispersion import greedy_dispersion
+from repro.core.exact import exact_dispersion, exact_diversify
+from repro.core.greedy import greedy_diversify
+from repro.core.local_search import local_search_diversify
+from repro.core.mmr import mmr_select
 from repro.core.restriction import Restriction
 from repro.core.solver import ALGORITHMS, solve
 from repro.core.streaming import streaming_diversify
 from repro.data.synthetic import make_synthetic_instance
+from repro.dynamic.update_rules import best_swap, oblivious_update, update_until_stable
 from repro.exceptions import InvalidParameterError
 from repro.functions.coverage import CoverageFunction
 from repro.functions.modular import ModularFunction, ZeroFunction
@@ -230,18 +243,46 @@ class TestRestrictionBundle:
         assert not Restriction(objective, [0, 2]).is_identity
 
     def test_lift_remaps_metadata(self, objective):
-        from repro.core.baselines import gollapudi_sharma_greedy
-
         pool = [8, 1, 5, 11, 3, 6]
-        result = gollapudi_sharma_greedy(objective, 4, candidates=pool)
+        restriction = Restriction(objective, pool)
+        result = restriction.lift(gollapudi_sharma_greedy(restriction.objective, 4))
         assert result.metadata["candidates"] == tuple(pool)
         for u, v in result.metadata["pairs"]:
             assert u in pool and v in pool
 
+    @pytest.mark.parametrize("constraint", ["uniform", "partition"])
+    def test_lift_remaps_local_search_swap_trace(self, constraint):
+        instance = make_synthetic_instance(15, seed=21)
+        pool = [3, 11, 2, 9, 14, 0, 5, 12]
+        if constraint == "uniform":
+            matroid = UniformMatroid(15, 3)
+        else:
+            matroid = PartitionMatroid([i % 3 for i in range(15)], {0: 2, 1: 1, 2: 1})
+        start = [3, 9, 11]
+        restriction = instance.objective.restrict(pool)
+        sub_matroid = matroid.restrict(restriction.candidates)
+        local_start = set(restriction.to_local(start))
+        # A basis already, so the trace starts from `start` itself.
+        assert sub_matroid.is_independent(local_start)
+        assert len(local_start) == sub_matroid.rank()
+        result = restriction.lift(
+            local_search_diversify(
+                restriction.objective, sub_matroid, initial=local_start
+            )
+        )
+        swaps = result.metadata["swaps"]
+        assert swaps
+        current = set(start)
+        for incoming, outgoing, _ in swaps:
+            assert incoming in pool and outgoing in pool
+            assert incoming not in current and outgoing in current
+            current = (current - {outgoing}) | {incoming}
+        assert current == result.selected
+
 
 # ----------------------------------------------------------------------
-# Property: every algorithm honors candidates= and matches the induced
-# sub-instance (satellite of ISSUE 2; includes the local_search regression).
+# Property: solve(candidates=) honors the pool for every algorithm and
+# matches the induced sub-instance (includes the local_search regression).
 # ----------------------------------------------------------------------
 POOLS = {
     "empty": [],
@@ -347,12 +388,11 @@ class TestRestrictionEquivalence:
 
     def test_streaming_honors_candidates(self, instance):
         pool = [3, 11, 2, 9, 14, 0]
-        result = streaming_diversify(instance.objective, 3, candidates=pool)
+        restriction = instance.objective.restrict(pool)
+        result = restriction.lift(streaming_diversify(restriction.objective, 3))
         assert result.selected <= set(pool)
         with pytest.raises(InvalidParameterError):
-            streaming_diversify(
-                instance.objective, 3, [1, 3], candidates=pool
-            )  # arrival 1 outside the pool
+            restriction.to_local([1, 3])  # arrival 1 outside the pool
 
     def test_submodular_quality_with_candidates(self, instance):
         coverage = CoverageFunction.random(15, 8, seed=2)
@@ -366,3 +406,38 @@ class TestRestrictionEquivalence:
         )
         assert result.selected <= set(pool)
         assert result.size == 3
+
+
+# ----------------------------------------------------------------------
+# The algorithms take no pool: a pool enters through a front door or
+# through Objective.restrict + Restriction.lift.
+# ----------------------------------------------------------------------
+POOL_FREE = [
+    greedy_diversify,
+    local_search_diversify,
+    streaming_diversify,
+    mmr_select,
+    gollapudi_sharma_greedy,
+    matching_diversify,
+    greedy_dispersion,
+    exact_diversify,
+    exact_dispersion,
+    best_swap,
+    oblivious_update,
+    update_until_stable,
+]
+
+
+def _called_attributes(function):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize("function", POOL_FREE, ids=lambda f: f.__name__)
+def test_algorithms_take_no_pool(function):
+    assert "candidates" not in inspect.signature(function).parameters
+    assert not {"restrict", "lift"} & _called_attributes(function)

@@ -5,9 +5,8 @@ A production deployment answers a stream of queries against one fixed
 corpus.  The serving tier splits that into two pieces:
 
 * :class:`repro.PreparedCorpus` — pay the per-corpus work once (materialize
-  or deliberately stay lazy, hoist modular weights, warm gain-state caches,
-  cache restriction views per candidate pool), then solve against it many
-  times;
+  or deliberately stay lazy, hoist modular weights, cache restriction views
+  per candidate pool), then solve against it many times;
 * :class:`repro.Server` — an asyncio front end that coalesces concurrent
   ``submit`` calls into micro-batch windows executed off the event loop,
   with per-request deadlines and disconnect cancellation.

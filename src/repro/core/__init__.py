@@ -29,14 +29,15 @@ its experiments compare against:
 * :class:`~repro.core.restriction.Restriction` — first-class query-scoped
   sub-universe views (index-remapped weight slices, submatrix metric views,
   restricted matroids).  The algorithms run on the ground set they are
-  given; a pool enters through ``candidates=`` on ``solve``,
-  ``solve_sharded``, ``solve_many`` and the serving corpus, or through
+  given; a pool enters through ``solve(candidates=)``,
+  ``solve_sharded(candidates=)`` and the serving window, which share
+  :func:`~repro.core.solver.check_query` and
+  :func:`~repro.core.solver.solve_restricted`, or through
   ``Objective.restrict(pool)`` plus ``Restriction.lift``, so restricted
   solves run on the same vectorized kernels as full-universe ones.
 * :func:`~repro.core.batch.solve_many` — the batched multi-query front end:
   many candidate pools against one shared corpus with zero per-query O(n²)
-  work, optionally mapped over a thread pool for oracle-free instances.
-  Serving windows run through :meth:`repro.serve.PreparedCorpus.solve_window`.
+  work, run as one :meth:`repro.serve.PreparedCorpus.solve_window`.
 * :func:`~repro.core.sharding.solve_sharded` — the sharded core-set pipeline
   for universes beyond matrix scale: partition, solve each shard on lazy
   per-shard state (optionally on a thread/process pool), and run the final

@@ -14,10 +14,11 @@ narrows an instance to a pool:
 3. :meth:`Restriction.lift` the result back into the corpus' indices.
 
 The algorithms themselves take no pool.  The front doors that do —
-:func:`~repro.core.solver.solve`, :func:`~repro.core.sharding.solve_sharded`,
-:func:`~repro.core.batch.solve_many` and
-:class:`~repro.serve.PreparedCorpus` — run these three steps; any other
-caller runs them directly::
+:func:`~repro.core.solver.solve`, :func:`~repro.core.sharding.solve_sharded`
+and :meth:`~repro.serve.PreparedCorpus.solve_window` (which also serves
+:func:`~repro.core.batch.solve_many`) — build the restriction and run the
+rest through :func:`~repro.core.solver.solve_restricted`; any other caller
+runs the three steps directly::
 
     restriction = objective.restrict(pool)
     result = restriction.lift(greedy_diversify(restriction.objective, p))

@@ -325,16 +325,15 @@ def solve_sharded(
         raise InvalidParameterError("max_workers must be at least 1")
     if per_shard_p is not None and per_shard_p < 1:
         raise InvalidParameterError("per_shard_p must be at least 1")
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-        raise InvalidParameterError(
-            f"cardinality p must be a non-negative integer, got {p!r}"
-        )
     if shard_timeout_s is not None and shard_timeout_s <= 0:
         raise InvalidParameterError("shard_timeout_s must be positive")
     if shard_retries < 0:
         raise InvalidParameterError("shard_retries must be non-negative")
     if retry_backoff_s < 0:
         raise InvalidParameterError("retry_backoff_s must be non-negative")
+    from repro.core.solver import ALGORITHMS, check_query, solve_restricted
+
+    p = check_query(metric.n, algorithm, p, None)
     control = RunControl.coerce(control)
     deadline, trace = control.deadline, control.trace
     # Shard solves and the final stage get the deadline and the trace only.
@@ -389,13 +388,11 @@ def solve_sharded(
         )
 
     shard_algorithm = shard_algorithm or "greedy"
-    from repro.core.solver import ALGORITHMS, _dispatch
-
-    for name, stage in ((algorithm, "algorithm"), (shard_algorithm, "shard_algorithm")):
-        if name not in ALGORITHMS:
-            raise InvalidParameterError(
-                f"unknown {stage} {name!r}; expected one of {ALGORITHMS}"
-            )
+    if shard_algorithm not in ALGORITHMS:
+        raise InvalidParameterError(
+            f"unknown shard_algorithm {shard_algorithm!r}; expected one of "
+            f"{ALGORITHMS}"
+        )
     keep = per_shard_p if per_shard_p is not None else max(p, 1)
     if materialize_shards is None:
         materialize_shards = shard_algorithm not in _LAZY_FRIENDLY_ALGORITHMS
@@ -678,7 +675,6 @@ def solve_sharded(
         ):
             final_metric = sub_metric(metric, core, final_materialize)
             final_restriction = Restriction(objective, core, metric=final_metric)
-            final_p = min(p, core.size)
             if algorithm == "local_search":
                 # Seed the final search with the core-set greedy solution
                 # instead of the default best-pair basis: the shard stage
@@ -688,6 +684,7 @@ def solve_sharded(
                 from repro.core.local_search import local_search_diversify
                 from repro.matroids.uniform import UniformMatroid
 
+                final_p = min(p, core.size)
                 seed = greedy_diversify(
                     final_restriction.objective, final_p, control=stage_control
                 )
@@ -698,16 +695,15 @@ def solve_sharded(
                     initial=seed.selected,
                     control=stage_control,
                 )
+                result = final_restriction.lift(final)
             else:
-                final = _dispatch(
-                    final_restriction.objective,
+                result = solve_restricted(
+                    final_restriction,
                     algorithm,
-                    p=final_p,
-                    matroid=None,
+                    p=p,
                     local_search_config=local_search_config,
                     control=stage_control,
                 )
-            result = final_restriction.lift(final)
 
     metadata = dict(result.metadata)
     if user_pool is not None:

@@ -4,12 +4,21 @@
 function, a metric, a trade-off and a constraint (a cardinality ``p`` or a
 :class:`~repro.matroids.base.Matroid`), and it validates the inputs, picks an
 appropriate algorithm and returns a :class:`~repro.core.result.SolverResult`.
+
+Every front door runs one query pipeline: :func:`check_query` validates the
+constraint, and :func:`solve_restricted` runs a checked query on its
+candidate pool (restrict, run, lift).  :func:`solve`,
+:func:`~repro.core.sharding.solve_sharded` and
+:meth:`~repro.serve.PreparedCorpus.solve_window` (which also serves
+:func:`~repro.core.batch.solve_many`) share both.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro._types import Element
 from repro.core.baselines import gollapudi_sharma_greedy, matching_diversify
@@ -19,9 +28,11 @@ from repro.core.greedy import greedy_diversify
 from repro.core.local_search import LocalSearchConfig, local_search_diversify
 from repro.core.mmr import mmr_select
 from repro.core.objective import Objective
+from repro.core.restriction import Restriction
 from repro.core.result import SolverResult
 from repro.exceptions import InvalidParameterError, SolverError
 from repro.functions.base import SetFunction
+from repro.functions.modular import ModularFunction
 from repro.matroids.base import Matroid
 from repro.matroids.uniform import UniformMatroid
 from repro.metrics.base import Metric
@@ -32,6 +43,7 @@ from repro.obs.instrument import (
     maybe_start_span,
     phase_timings,
 )
+from repro.utils.validation import check_cardinality
 
 #: Algorithms accepted by :func:`solve`.
 ALGORITHMS = (
@@ -69,7 +81,8 @@ def solve(
     quality, metric, tradeoff:
         The instance ``(f, d, λ)``.
     p:
-        Cardinality constraint (mutually exclusive with ``matroid``).
+        Cardinality constraint, a non-negative integer (mutually exclusive
+        with ``matroid``).
     matroid:
         General matroid constraint (mutually exclusive with ``p``).
     algorithm:
@@ -77,15 +90,11 @@ def solve(
         cardinality constraint and local search for a matroid constraint —
         the two algorithms the paper proves 2-approximations for.
     candidates:
-        Optional candidate pool restriction (the query-scoped sub-universe).
-        Honored by **every** algorithm, including ``local_search`` and the
-        matroid-constrained path: the instance (and the matroid, when one is
-        given) is restricted through
-        :class:`~repro.core.restriction.Restriction` /
-        :meth:`~repro.matroids.base.Matroid.restrict`, the algorithm runs on
-        the re-indexed sub-instance, and the result is lifted back into the
-        original universe's indices (the pool is recorded under
-        ``result.metadata["candidates"]``).
+        Optional candidate pool (the query-scoped sub-universe), honoured by
+        every algorithm and constraint: the query runs on the pool's
+        :class:`~repro.core.restriction.Restriction` through
+        :func:`solve_restricted`, and the result, in the original universe's
+        indices, records the pool under ``result.metadata["candidates"]``.
     local_search_config:
         Configuration forwarded to the local search.
     shards, shard_size, shard_workers:
@@ -108,13 +117,7 @@ def solve(
     -------
     SolverResult
     """
-    if algorithm not in ALGORITHMS:
-        raise InvalidParameterError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
-    if (p is None) == (matroid is None):
-        raise InvalidParameterError("supply exactly one of p and matroid")
-
+    p = check_query(metric.n, algorithm, p, matroid)
     if shards is not None or shard_size is not None:
         if matroid is not None:
             raise InvalidParameterError(
@@ -140,37 +143,24 @@ def solve(
     control = RunControl.coerce(control)
     trace = control.trace
     objective = Objective(quality, metric, tradeoff)
-    if matroid is not None and matroid.n != objective.n:
-        raise InvalidParameterError(
-            f"matroid covers {matroid.n} elements but the objective covers "
-            f"{objective.n}"
-        )
-
     started = time.perf_counter()
     root = maybe_start_span(trace, "solve", algorithm=algorithm, n=objective.n)
     try:
-        if candidates is not None:
+        if candidates is None:
+            result = _dispatch(
+                objective,
+                algorithm,
+                p=p,
+                matroid=matroid,
+                local_search_config=local_search_config,
+                control=control,
+            )
+        else:
             with maybe_span(trace, "restrict") as restrict_span:
                 restriction = objective.restrict(candidates)
                 restrict_span.set(pool=restriction.n)
-            sub_matroid = (
-                matroid.restrict(restriction.candidates)
-                if matroid is not None
-                else None
-            )
-            result = restriction.lift(
-                _dispatch(
-                    restriction.objective,
-                    algorithm,
-                    p=p,
-                    matroid=sub_matroid,
-                    local_search_config=local_search_config,
-                    control=control.scoped(restriction.candidates),
-                )
-            )
-        else:
-            result = _dispatch(
-                objective,
+            result = solve_restricted(
+                restriction,
                 algorithm,
                 p=p,
                 matroid=matroid,
@@ -188,6 +178,71 @@ def solve(
     return result
 
 
+def check_query(
+    n: int, algorithm: str, p: Optional[int], matroid: Optional[Matroid]
+) -> Optional[int]:
+    """Validate one query on a universe of ``n`` elements; return ``p``.
+
+    The one copy of the rules every front door shares: ``algorithm`` is one
+    of :data:`ALGORITHMS`, exactly one of ``p`` and ``matroid`` is set, the
+    matroid covers the universe, and ``p`` is a non-negative integer (NumPy
+    integers included, ``bool`` excluded), returned as an ``int``.
+    """
+    if algorithm not in ALGORITHMS:
+        raise InvalidParameterError(
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        )
+    if (p is None) == (matroid is None):
+        raise InvalidParameterError("supply exactly one of p and matroid")
+    if matroid is None:
+        return check_cardinality(p)
+    if matroid.n != n:
+        raise InvalidParameterError(
+            f"matroid covers {matroid.n} elements but the objective covers {n}"
+        )
+    return None
+
+
+def solve_restricted(
+    restriction: Restriction,
+    algorithm: str,
+    *,
+    p: Optional[int] = None,
+    matroid: Optional[Matroid] = None,
+    weights: Optional[Sequence[float]] = None,
+    local_search_config: Optional[LocalSearchConfig] = None,
+    control: Optional[RunControl] = None,
+) -> SolverResult:
+    """Run one checked query (see :func:`check_query`) on its candidate pool.
+
+    The corpus-level ``matroid`` is restricted to the pool and ``p`` clamped
+    to the pool size; ``weights``, one per pool element in pool order,
+    replace the quality with per-request modular scores.  The algorithm runs
+    with checkpoints bound to the pool, and the result is lifted back into
+    the corpus' indices.
+    """
+    objective = restriction.objective
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (restriction.n,):
+            raise InvalidParameterError(
+                f"per-query weights cover {weights.shape} elements but the "
+                f"pool has {restriction.n}"
+            )
+        objective = Objective(
+            ModularFunction(weights), objective.metric, objective.tradeoff
+        )
+    result = _dispatch(
+        objective,
+        algorithm,
+        p=None if p is None else min(p, restriction.n),
+        matroid=None if matroid is None else matroid.restrict(restriction.candidates),
+        local_search_config=local_search_config,
+        control=RunControl.coerce(control).scoped(restriction.candidates),
+    )
+    return restriction.lift(result)
+
+
 def _dispatch(
     objective: Objective,
     algorithm: str,
@@ -197,13 +252,12 @@ def _dispatch(
     local_search_config: Optional[LocalSearchConfig],
     control: Optional[RunControl] = None,
 ) -> SolverResult:
-    """Run ``algorithm`` on an (already restricted) objective.
+    """Run ``algorithm`` on an objective whose query :func:`check_query` passed.
 
-    This is the single dispatch point shared by :func:`solve`, the batched
-    :func:`repro.core.batch.solve_many` front end and the serving window loop
-    :meth:`repro.serve.PreparedCorpus.solve_window`; candidate pools never
-    reach it — they are re-indexed away by the restriction layer in the
-    callers.
+    Called by :func:`solve` on the full universe and by
+    :func:`solve_restricted` on a pool's sub-instance (the sharded pipeline's
+    shard stage also runs it on each shard's sub-instance); candidate pools
+    never reach it.
     """
     control = RunControl.coerce(control)
     if matroid is not None:

@@ -9,7 +9,8 @@ candidate pool.  This scenario compares
   writes: re-materialize the submatrix through the validating constructor and
   re-derive the weight slice per query), against
 * **batched** — :func:`~repro.core.batch.solve_many`, which prepares the
-  shared matrix view and weight vector once and restricts per query.
+  shared matrix view and weight vector once and runs every query as one
+  serving window on its restriction.
 
 Both must return identical selections; the report records the wall-clock
 ratio per algorithm.

@@ -13,20 +13,21 @@ that state:
   (:meth:`~repro.metrics.base.Metric.restrict_lazy`), so a pool of ``k``
   candidates costs O(k·d) — never O(n²);
 * the **modular weight vector**, derived once even for view-less modular
-  families (:func:`~repro.core.kernels.hoist_modular_weights`, the hoist
-  :func:`~repro.core.batch.solve_many` shares);
-* the **warm gain state** for non-modular quality: building one empty
-  :meth:`~repro.functions.base.SetFunction.gain_state` at prepare time runs
-  the construction-time work the batched-gains protocol caches (coverage
-  topic indices, log-det validation probes), so the first real query
-  pays none of it;
+  families (:func:`~repro.core.kernels.hoist_modular_weights`);
 * an **LRU cache of restriction views** keyed by the (deduplicated) pool, so
   hot pools reuse their sub-instance across batch windows.
 
+Non-modular quality needs no preparation: each family builds its arrays
+(coverage's CSR incidence, facility location's similarity matrix, log-det's
+kernel) in its constructor, and each query builds its own gain state on its
+restriction view.
+
 :meth:`PreparedCorpus.solve_window` is the one window loop, driven off-loop
-by the async :class:`~repro.serve.server.Server`: each request runs on its
-cached restriction view, or through :func:`~repro.core.sharding.solve_sharded`
-when it spans a sharded corpus's full universe.
+by the async :class:`~repro.serve.server.Server` and by
+:func:`~repro.core.batch.solve_many`: each request runs
+:func:`~repro.core.solver.solve_restricted` on its cached restriction view,
+or :func:`~repro.core.sharding.solve_sharded` when it spans a sharded
+corpus's full universe.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ from repro.core.objective import Objective
 from repro.core.restriction import Restriction
 from repro.core.result import SolverResult, build_result
 from repro.core.sharding import sub_metric
-from repro.core.solver import ALGORITHMS, _dispatch
+from repro.core.solver import check_query, solve_restricted
 from repro.exceptions import InvalidParameterError
-from repro.functions.base import GainState, SetFunction
+from repro.functions.base import SetFunction
 from repro.functions.modular import ModularFunction
 from repro.matroids.base import Matroid
 from repro.metrics.base import Metric
@@ -151,9 +152,6 @@ class PreparedCorpus:
         Pool-scoped queries never shard — restriction is already O(k).
     cache_size:
         Capacity of the pool-keyed restriction LRU cache (0 disables it).
-    warm:
-        Build the empty gain state of a non-modular quality at prepare time
-        so its construction-time caches are hot before the first query.
     """
 
     def __init__(
@@ -168,7 +166,6 @@ class PreparedCorpus:
         shard_workers: Optional[int] = None,
         shard_executor: str = "thread",
         cache_size: int = DEFAULT_CACHE_SIZE,
-        warm: bool = True,
     ) -> None:
         if cache_size < 0:
             raise InvalidParameterError("cache_size must be non-negative")
@@ -196,9 +193,6 @@ class PreparedCorpus:
         self._hits = 0
         self._misses = 0
         self._identity: Optional[Restriction] = None
-        self._warm_state: Optional[GainState] = None
-        if warm and not self._quality.is_modular:
-            self._warm_state = self._quality.gain_state(())
 
     # ------------------------------------------------------------------
     # Accessors
@@ -238,19 +232,6 @@ class PreparedCorpus:
         """Whether full-universe queries run the sharded core-set pipeline."""
         return self._sharded
 
-    def quality_state(self) -> Optional[GainState]:
-        """The prepared empty gain state of a non-modular quality.
-
-        Built once at prepare time (``warm=True``); the batched-gains
-        protocol's construction-time caches (coverage topic indices,
-        log-det PSD probes) are warmed by building it, so per-query solves —
-        whose restriction views compose the same underlying arrays — start
-        hot.  ``None`` for modular corpora, which need no state at all.
-        """
-        if self._warm_state is None and not self._quality.is_modular:
-            self._warm_state = self._quality.gain_state(())
-        return self._warm_state
-
     def cache_info(self) -> Dict[str, int]:
         """Restriction-cache statistics: hits, misses, size, capacity."""
         with self._cache_lock:
@@ -282,11 +263,11 @@ class PreparedCorpus:
                 return cached
             self._misses += 1
         if self._materialized:
-            restriction = Restriction(self._objective, pool_arr)
+            restriction = Restriction(self._objective, key)
         else:
             restriction = Restriction(
                 self._objective,
-                pool_arr,
+                key,
                 metric=sub_metric(self._metric, pool_arr, materialize=False),
             )
         if self._cache_size > 0:
@@ -315,21 +296,7 @@ class PreparedCorpus:
             if request.pool is None
             else self.restriction_for(request.pool)
         )
-        matroid = request.matroid
-        if matroid is not None:
-            if matroid.n != self.n:
-                raise InvalidParameterError(
-                    f"matroid covers {matroid.n} elements but the corpus "
-                    f"covers {self.n}"
-                )
-            matroid = matroid.restrict(restriction.candidates)
-        if (request.p is None) == (matroid is None):
-            raise InvalidParameterError("supply exactly one of p and matroid")
-        if request.algorithm not in ALGORITHMS:
-            raise InvalidParameterError(
-                f"unknown algorithm {request.algorithm!r}; expected one of "
-                f"{ALGORITHMS}"
-            )
+        p = check_query(self.n, request.algorithm, request.p, request.matroid)
         deadline = control.deadline
         if deadline is not None and deadline.expired():
             # The budget ran out while the request sat in the window queue:
@@ -342,33 +309,15 @@ class PreparedCorpus:
                 metadata=mark_interrupted({}, deadline, "window_queue"),
             )
             return restriction.lift(empty)
-        objective = restriction.objective
-        if request.weights is not None:
-            weights = np.asarray(request.weights, dtype=float)
-            if weights.shape != (restriction.n,):
-                raise InvalidParameterError(
-                    f"per-query weights cover {weights.shape} elements but the "
-                    f"pool has {restriction.n}"
-                )
-            objective = Objective(
-                ModularFunction(weights), objective.metric, objective.tradeoff
-            )
-        p = request.p
-        if p is not None:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-                raise InvalidParameterError(
-                    f"cardinality p must be a non-negative integer, got {p!r}"
-                )
-            p = min(p, restriction.n)
-        result = _dispatch(
-            objective,
+        return solve_restricted(
+            restriction,
             request.algorithm,
             p=p,
-            matroid=matroid,
+            matroid=request.matroid,
+            weights=request.weights,
             local_search_config=request.local_search_config,
             control=control,
         )
-        return restriction.lift(result)
 
     def _solve_full_sharded(
         self, request: ServeQuery, control: RunControl
@@ -379,8 +328,6 @@ class PreparedCorpus:
                 "sharded full-universe serving supports cardinality "
                 "constraints only"
             )
-        if request.p is None:
-            raise InvalidParameterError("full-universe queries require p")
         quality = self._quality
         if request.weights is not None:
             quality = ModularFunction(np.asarray(request.weights, dtype=float))

@@ -6,7 +6,7 @@ into micro-batch windows — up to ``max_batch_size`` requests or ``max_wait_s``
 of linger, whichever fills first — executed **off the event loop** on a
 worker thread through :meth:`~repro.serve.corpus.PreparedCorpus.solve_window`.
 Batching is what amortizes the shared-corpus work (restriction-cache hits,
-warm gain states, one executor hop per window instead of per request) while
+one executor hop per window instead of per request) while
 the lazy metric tier keeps each query O(k·d).
 
 Failure contract (per request, never per window):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+import numbers
+from typing import Iterable, Optional, Set
 
 import numpy as np
 
@@ -57,17 +58,21 @@ def check_tradeoff(name: str, value: float) -> float:
     return value
 
 
-def check_cardinality(p: int, n: int) -> int:
-    """Validate a cardinality constraint ``p`` against a universe of size ``n``."""
-    if not isinstance(p, (int,)) or isinstance(p, bool):
+def check_cardinality(p: int, n: Optional[int] = None) -> int:
+    """Validate a cardinality constraint ``p``, returned as an ``int``.
+
+    ``p`` must be a non-negative integer (NumPy integers included, ``bool``
+    excluded) and, when the universe size ``n`` is given, at most ``n``.
+    """
+    if not isinstance(p, numbers.Integral) or isinstance(p, bool):
         raise InvalidParameterError(f"cardinality p must be an integer, got {p!r}")
     if p < 0:
         raise InvalidParameterError(f"cardinality p must be non-negative, got {p}")
-    if p > n:
+    if n is not None and p > n:
         raise InvalidParameterError(
             f"cardinality p={p} exceeds the universe size n={n}"
         )
-    return p
+    return int(p)
 
 
 def check_candidate_pool(elements: Iterable[int], n: int) -> np.ndarray:

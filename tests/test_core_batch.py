@@ -78,22 +78,6 @@ class TestSolveMany:
         assert batched[1].selected == frozenset({7})
         assert batched[2].size == 3
 
-    def test_thread_pool_matches_sequential(self, corpus, pools):
-        sequential = solve_many(
-            corpus.quality, corpus.metric, pools, tradeoff=corpus.tradeoff, p=4
-        )
-        threaded = solve_many(
-            corpus.quality,
-            corpus.metric,
-            pools,
-            tradeoff=corpus.tradeoff,
-            p=4,
-            max_workers=4,
-        )
-        for a, b in zip(sequential, threaded):
-            assert a.selected == b.selected
-            assert a.objective_value == pytest.approx(b.objective_value)
-
     def test_every_algorithm_dispatches(self, corpus, pools):
         for algorithm in (
             "greedy_best_pair", "greedy_a", "matching", "mmr", "local_search"
@@ -176,10 +160,6 @@ class TestSolveMany:
                 tradeoff=0.2,
                 p=3,
                 algorithm="magic",
-            )
-        with pytest.raises(InvalidParameterError):
-            solve_many(
-                corpus.quality, corpus.metric, pools, tradeoff=0.2, p=3, max_workers=0
             )
         with pytest.raises(InvalidParameterError):
             solve_many(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import solve_many
 from repro.core.local_search import LocalSearchConfig
 from repro.core.sharding import shard_pool, solve_sharded
 from repro.core.solver import solve
@@ -334,7 +333,7 @@ class TestSolveSharded:
 
 
 # ----------------------------------------------------------------------
-# solve() / solve_many() wiring
+# solve() wiring
 # ----------------------------------------------------------------------
 class TestSolverWiring:
     def test_solve_rejects_matroid_with_shards(self, feature_instance):
@@ -352,58 +351,6 @@ class TestSolverWiring:
         quality, metric = feature_instance.quality, feature_instance.metric
         result = solve(quality, metric, tradeoff=0.5, p=4, shard_size=30)
         assert result.metadata["sharding"]["shards"] == 4
-
-    def test_solve_many_sharded(self, feature_instance):
-        quality, metric = feature_instance.quality, feature_instance.metric
-        pools = [range(0, 60), range(60, 120), []]
-        results = solve_many(
-            quality, metric, pools, tradeoff=0.5, p=4, shards=3
-        )
-        assert len(results) == 3
-        assert results[0].selected <= set(range(0, 60))
-        assert results[1].selected <= set(range(60, 120))
-        assert results[2].selected == frozenset()
-        for result in results[:2]:
-            assert result.metadata["sharding"]["shards"] == 3
-
-    def test_solve_many_sharded_forwards_workers(self, feature_instance):
-        quality, metric = feature_instance.quality, feature_instance.metric
-        results = solve_many(
-            quality,
-            metric,
-            [range(0, 120)],
-            tradeoff=0.5,
-            p=4,
-            shards=3,
-            max_workers=3,
-        )
-        # The worker budget reaches the per-query shard map.
-        assert results[0].metadata["sharding"]["executor"] == "thread"
-
-    def test_solve_many_sharded_rejects_matroid(self, feature_instance):
-        quality, metric = feature_instance.quality, feature_instance.metric
-        with pytest.raises(InvalidParameterError):
-            solve_many(
-                quality,
-                metric,
-                [range(10)],
-                tradeoff=0.5,
-                matroid=UniformMatroid(feature_instance.n, 3),
-                shards=2,
-            )
-
-    def test_solve_many_sharded_skips_materialization(self, feature_instance):
-        quality = feature_instance.quality
-
-        class NoMaterialize(EuclideanMetric):
-            def to_matrix(self):
-                raise AssertionError("corpus matrix materialized")
-
-        metric = NoMaterialize(feature_instance.metric.points)
-        results = solve_many(
-            quality, metric, [range(0, 50)], tradeoff=0.5, p=3, shards=2
-        )
-        assert len(results[0].selected) == 3
 
 
 class TestShardFailureFeasibility:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.batch import solve_many
+from repro.core.sharding import solve_sharded
 from repro.core.solver import ALGORITHMS, solve
 from repro.data.synthetic import make_synthetic_instance
 from repro.exceptions import InvalidParameterError, SolverError
 from repro.functions.coverage import CoverageFunction
 from repro.matroids.partition import PartitionMatroid
 from repro.metrics.discrete import UniformRandomMetric
+from repro.serve import PreparedCorpus
 
 
 @pytest.fixture
@@ -158,3 +162,41 @@ class TestValidation:
         coverage = CoverageFunction.random(8, 5, seed=0)
         result = solve(coverage, metric, tradeoff=0.2, p=3)
         assert result.size == 3
+
+
+POOL = [0, 2, 3, 5, 7, 8, 11, 13]
+
+#: Every front door that takes a cardinality ``p``, as ``door(instance, p,
+#: algorithm) -> SolverResult``.
+DOORS = {
+    "solve": lambda i, p, a: solve(
+        i.quality, i.metric, tradeoff=0.2, p=p, algorithm=a
+    ),
+    "solve_candidates": lambda i, p, a: solve(
+        i.quality, i.metric, tradeoff=0.2, p=p, algorithm=a, candidates=POOL
+    ),
+    "solve_many": lambda i, p, a: solve_many(
+        i.quality, i.metric, [POOL], tradeoff=0.2, p=p, algorithm=a
+    )[0],
+    "corpus": lambda i, p, a: PreparedCorpus(
+        i.quality, i.metric, tradeoff=0.2
+    ).solve(POOL, p=p, algorithm=a),
+    "solve_sharded": lambda i, p, a: solve_sharded(
+        i.quality, i.metric, tradeoff=0.2, p=p, algorithm=a, shards=2
+    ),
+}
+
+
+@pytest.mark.parametrize("door", sorted(DOORS))
+@pytest.mark.parametrize("p", [40.5, 2.5, True, -1, "3", np.int64(3)], ids=repr)
+def test_p_rule_holds_on_every_door(instance, door, p):
+    """A malformed p raises InvalidParameterError; a NumPy integer is an int."""
+    run = DOORS[door]
+    for algorithm in ("greedy", "greedy_a", "matching", "mmr", "local_search", "exact"):
+        if isinstance(p, np.integer):
+            got, want = run(instance, p, algorithm), run(instance, int(p), algorithm)
+            assert got.order == want.order
+            assert got.objective_value == want.objective_value
+        else:
+            with pytest.raises(InvalidParameterError):
+                run(instance, p, algorithm)

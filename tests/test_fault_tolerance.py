@@ -160,7 +160,7 @@ class TestAnytimeDeadlines:
         for result in results:
             assert result.selected == frozenset()
             assert result.metadata["interrupted"] is True
-            assert result.metadata["phase"] == "batch_queue"
+            assert result.metadata["phase"] == "window_queue"
 
     def test_sharded_deadline_returns_within_budget(self, instance):
         quality, metric = instance

@@ -10,11 +10,9 @@ import pytest
 from repro.core.solver import solve
 from repro.data.synthetic import make_feature_instance, make_synthetic_instance
 from repro.exceptions import InvalidParameterError, ServerClosedError
-from repro.functions.coverage import CoverageFunction
 from repro.functions.modular import ModularFunction
 from repro.matroids.partition import PartitionMatroid
 from repro.metrics.base import Metric
-from repro.metrics.euclidean import EuclideanMetric
 from repro.serve import CorpusSnapshot, PreparedCorpus, ServeQuery, Server
 from repro.utils.deadline import Deadline
 
@@ -115,16 +113,6 @@ class TestCorpusPreparation:
         )
         assert isinstance(corpus.quality, ModularFunction)
         assert corpus.quality.weights_view() is not None
-
-    def test_non_modular_quality_warm_state_built(self):
-        coverage = CoverageFunction.random(30, num_topics=12, seed=5)
-        metric = EuclideanMetric(np.random.default_rng(0).normal(size=(30, 3)))
-        corpus = PreparedCorpus(coverage, metric, tradeoff=0.3, warm=True)
-        assert corpus.quality_state() is not None
-        cold = PreparedCorpus(coverage, metric, tradeoff=0.3, warm=False)
-        assert cold._warm_state is None
-        # quality_state() builds it lazily even when warm=False.
-        assert cold.quality_state() is not None
 
     def test_cache_size_validated(self, instance):
         with pytest.raises(InvalidParameterError):
@@ -285,16 +273,34 @@ class TestCorpusSolve:
 class TestSolveWindow:
     """The one window loop, driven directly with a window of requests."""
 
-    def test_matches_solve_many(self, instance, corpus, pools):
-        from repro.core.batch import solve_many
-
-        outcomes = corpus.solve_window([ServeQuery(pool=pool, p=4) for pool in pools])
-        batched = solve_many(
-            instance.quality, instance.metric, pools, tradeoff=instance.tradeoff, p=4
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_matches_solve_with_candidates(self, lazy_instance, materialize):
+        # Per-request weights are checked against solve() on a full weight
+        # vector that is zero outside the pool.
+        quality, metric = lazy_instance.quality, lazy_instance.metric
+        corpus = PreparedCorpus(
+            quality, metric, tradeoff=0.4, materialize=materialize
         )
-        for outcome, reference in zip(outcomes, batched):
-            assert outcome.selected == reference.selected
-            assert outcome.objective_value == reference.objective_value
+        assert corpus.materialized == materialize
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            pool = rng.choice(lazy_instance.n, size=12, replace=False).tolist()
+            weights = rng.uniform(0.0, 2.0, size=len(pool))
+            full = np.zeros(lazy_instance.n)
+            full[pool] = weights
+            plain = ServeQuery(pool=pool, p=4)
+            weighted = ServeQuery(pool=pool, p=4, weights=weights)
+            outcomes = corpus.solve_window([plain, weighted])
+            for outcome, reference_quality in zip(
+                outcomes, (quality, ModularFunction(full))
+            ):
+                reference = solve(
+                    reference_quality, metric, tradeoff=0.4, p=4, candidates=pool
+                )
+                assert outcome.order == reference.order
+                assert outcome.objective_value == pytest.approx(
+                    reference.objective_value, rel=0.0, abs=1e-9
+                )
 
     def test_per_query_weights_in_local_order(self, corpus):
         request = ServeQuery(pool=[5, 6, 7, 8], p=2, weights=[0.0, 100.0, 100.0, 0.0])

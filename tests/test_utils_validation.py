@@ -52,6 +52,8 @@ class TestScalarChecks:
 class TestCardinality:
     def test_valid(self):
         assert check_cardinality(3, 10) == 3
+        p = check_cardinality(np.int64(3), 10)
+        assert p == 3 and type(p) is int
 
     def test_zero_allowed(self):
         assert check_cardinality(0, 10) == 0

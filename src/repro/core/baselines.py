@@ -23,9 +23,10 @@ import numpy as np
 from repro._types import Element
 from repro.core.objective import Objective
 from repro.core.result import SolverResult, build_result
-from repro.exceptions import InvalidParameterError, SolverError
+from repro.exceptions import SolverError
 from repro.functions.modular import ModularFunction, ZeroFunction
 from repro.metrics.matrix import DistanceMatrix
+from repro.utils.validation import check_cardinality
 
 
 def _require_modular_weights(objective: Objective) -> np.ndarray:
@@ -110,10 +111,8 @@ def gollapudi_sharma_greedy(
         "improved Greedy A" of Table 3).
     """
     started = time.perf_counter()
+    p = min(check_cardinality(p), objective.n)
     pool: List[Element] = list(range(objective.n))
-    p = min(p, len(pool))
-    if p < 0:
-        raise InvalidParameterError("p must be non-negative")
 
     reduced = reduced_metric(objective)
     num_pairs = p // 2
@@ -170,10 +169,8 @@ def matching_diversify(objective: Objective, p: int) -> SolverResult:
     import networkx as nx
 
     started = time.perf_counter()
+    p = min(check_cardinality(p), objective.n)
     pool: List[Element] = list(range(objective.n))
-    p = min(p, len(pool))
-    if p < 0:
-        raise InvalidParameterError("p must be non-negative")
 
     reduced = reduced_metric(objective)
     num_pairs = p // 2

@@ -140,14 +140,20 @@ class RunControl:
         object.__setattr__(scoped, "_pool", digest.hexdigest())
         return scoped
 
-    def fingerprint(self, kind: str, n: int, tradeoff: float) -> str:
-        """The fingerprint a ``kind`` checkpoint of this solve carries."""
+    def fingerprint(self, kind: str, n: int, tradeoff: float) -> Optional[str]:
+        """The fingerprint a ``kind`` checkpoint of this solve carries.
+
+        ``None`` when this control neither checkpoints nor resumes: nothing
+        would read it, so the sha1 is not paid.
+        """
+        if self.on_checkpoint is None and self.resume_from is None:
+            return None
         if self._pool is None:
             return universe_fingerprint("solve", kind, n, tradeoff)
         return universe_fingerprint("solve", kind, n, tradeoff, self._pool)
 
     def resume(
-        self, kind: str, n: int, fingerprint: str
+        self, kind: str, n: int, fingerprint: Optional[str]
     ) -> Optional[SolveCheckpoint]:
         """``resume_from`` checked against the resuming solve, or ``None``."""
         checkpoint = self.resume_from

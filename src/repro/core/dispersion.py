@@ -23,6 +23,7 @@ from repro.core.result import SolverResult, build_result
 from repro.exceptions import InvalidParameterError
 from repro.functions.modular import ZeroFunction
 from repro.metrics.base import Metric
+from repro.utils.validation import check_cardinality
 
 
 def greedy_dispersion(
@@ -47,10 +48,8 @@ def greedy_dispersion(
         raise InvalidParameterError("batch_size must be at least 1")
     started = time.perf_counter()
     objective = Objective(ZeroFunction(metric.n), metric, tradeoff=1.0)
+    p = min(check_cardinality(p), metric.n)
     pool: List[Element] = list(range(metric.n))
-    p = min(p, len(pool))
-    if p < 0:
-        raise InvalidParameterError("p must be non-negative")
 
     selected: Set[Element] = set()
     order: List[Element] = []

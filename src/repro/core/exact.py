@@ -32,6 +32,7 @@ from repro.exceptions import InvalidParameterError, SolverError
 from repro.functions.modular import ZeroFunction
 from repro.matroids.base import Matroid
 from repro.metrics.base import Metric
+from repro.utils.validation import check_cardinality
 
 #: Refuse plain enumeration beyond this many candidate subsets.
 DEFAULT_SUBSET_LIMIT = 5_000_000
@@ -185,9 +186,7 @@ def exact_diversify(
     pool: List[Element] = list(range(objective.n))
 
     if p is not None:
-        p = min(p, len(pool))
-        if p < 0:
-            raise InvalidParameterError("p must be non-negative")
+        p = min(check_cardinality(p), len(pool))
         use_bnb = method == "branch_and_bound" or (
             method == "auto" and p >= 2 and len(pool) > p
         )

@@ -100,7 +100,7 @@ def greedy_diversify(
     deadline, trace = control.deadline, control.trace
     on_checkpoint, checkpoint_every = control.on_checkpoint, control.checkpoint_every
     n = objective.n
-    p = check_cardinality(p, n) if p <= n else n
+    p = min(check_cardinality(p), n)
     if start not in ("potential", "best_pair"):
         raise InvalidParameterError(f"unknown start rule {start!r}")
 

@@ -22,7 +22,7 @@ from repro._types import Element
 from repro.core.objective import Objective
 from repro.core.result import SolverResult, build_result
 from repro.exceptions import InvalidParameterError
-from repro.utils.validation import check_probability
+from repro.utils.validation import check_cardinality, check_probability
 
 
 def mmr_select(
@@ -49,6 +49,7 @@ def mmr_select(
         Optional explicit ``n x n`` similarity matrix overriding the
         metric-derived one.
     """
+    p = min(check_cardinality(p), objective.n)
     check_probability("theta", theta)
     if similarity is not None:
         similarity = np.asarray(similarity, dtype=float)
@@ -58,9 +59,6 @@ def mmr_select(
             )
     started = time.perf_counter()
     pool: List[Element] = list(range(objective.n))
-    p = min(p, len(pool))
-    if p < 0:
-        raise InvalidParameterError("p must be non-negative")
 
     if similarity is None:
         matrix = objective.metric.to_matrix()

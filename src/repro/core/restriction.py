@@ -22,11 +22,20 @@ runs the three steps directly::
 
     restriction = objective.restrict(pool)
     result = restriction.lift(greedy_diversify(restriction.objective, p))
+
+A pool is checked once, where it enters
+(:func:`~repro.utils.validation.check_candidate_pool`): in
+:class:`Restriction` (behind ``Objective.restrict`` and ``solve``), in
+``solve_sharded`` or in ``PreparedCorpus.restriction_for``.  Step 1 hands
+the canonical index array to the families' ``_restrict`` hooks, which take
+it as checked; the public ``restrict`` methods check their own input.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro._types import Element
 from repro.core.objective import Objective
@@ -46,14 +55,8 @@ class Restriction:
     objective:
         The full-universe objective.
     candidates:
-        The candidate pool.  Deduplicated in first-seen order; local element
-        ``i`` of the restricted instance is ``candidates[i]``.
-    metric:
-        Optional pre-built sub-metric to use instead of
-        ``objective.metric.restrict(candidates)``.  The caller asserts it is
-        the restriction of the base metric onto the pool — the sharded
-        core-set solver passes a lazy slice or a chunk-materialized block
-        here so huge universes never pay the default restriction's cost.
+        The candidate pool, checked and deduplicated in first-seen order;
+        local element ``i`` of the restricted instance is ``candidates[i]``.
 
     Attributes
     ----------
@@ -63,30 +66,29 @@ class Restriction:
         ``restricted.value(S) == base.value(to_global(S))``.
     """
 
-    def __init__(
-        self,
-        objective: Objective,
-        candidates: Iterable[Element],
-        *,
-        metric: Optional[Metric] = None,
-    ) -> None:
-        idx = check_candidate_pool(candidates, objective.n)
+    def __init__(self, objective: Objective, candidates: Iterable[Element]) -> None:
+        pool = check_candidate_pool(candidates, objective.n)
+        self._build(objective, pool, objective.metric._restrict(pool))
+
+    @classmethod
+    def _from_trusted(
+        cls, objective: Objective, pool: np.ndarray, metric: Metric
+    ) -> "Restriction":
+        """The restriction on a checked ``pool`` whose sub-metric the caller
+        built (the corpus cache, the sharded solver's shards and core-set)."""
+        restriction = cls.__new__(cls)
+        restriction._build(objective, pool, metric)
+        return restriction
+
+    def _build(self, objective: Objective, pool: np.ndarray, metric: Metric) -> None:
         self._base = objective
-        self._globals: Tuple[Element, ...] = tuple(idx.tolist())
+        self._pool = pool
+        self._globals: Tuple[Element, ...] = tuple(pool.tolist())
         # Built lazily: the batched front end never needs the global→local
         # map, and building one dict per query is measurable overhead.
         self._locals: Optional[Dict[Element, Element]] = None
-        if metric is None:
-            metric = objective.metric.restrict(self._globals)
-        elif metric.n != len(self._globals):
-            raise InvalidParameterError(
-                f"supplied sub-metric covers {metric.n} elements but the pool "
-                f"has {len(self._globals)}"
-            )
         self._objective = Objective(
-            objective.quality.restrict(self._globals),
-            metric,
-            objective.tradeoff,
+            objective.quality._restrict(pool), metric, objective.tradeoff
         )
 
     # ------------------------------------------------------------------

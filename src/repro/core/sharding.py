@@ -140,22 +140,25 @@ def _block_matrix(metric: Metric, pool: np.ndarray) -> DistanceMatrix:
 
 
 def sub_metric(metric: Metric, pool: np.ndarray, materialize: bool) -> Metric:
-    """The restriction of ``metric`` onto ``pool`` for one shard solve.
+    """The restriction of ``metric`` onto a checked ``pool`` for one solve.
 
     ``materialize=True`` produces a :class:`DistanceMatrix` (a copy-free view
     for matrix-backed parents, a chunk-computed block otherwise) so kernel
     blocks are slices; ``materialize=False`` prefers the lazy tier and
     only falls back to the default O(k²) restriction for pure oracle metrics.
 
-    Public because the dynamic session's shard-local repair builds the same
-    per-shard restrictions outside a full :func:`solve_sharded` run.
+    ``pool`` is not re-checked: it goes straight to the metric's
+    ``_restrict`` / ``_restrict_lazy`` hooks.  Every caller is in-tree and
+    passes a canonical index array — a checked pool (the serving corpus),
+    shards and the core-set of one (:func:`solve_sharded`), or engine-built
+    live ids (the dynamic session's shard-local repair).
     """
     if materialize:
         if metric.matrix_view() is not None:
-            return metric.restrict(pool)
+            return metric._restrict(pool)
         return _block_matrix(metric, pool)
-    lazy = metric.restrict_lazy(pool)
-    return lazy if lazy is not None else metric.restrict(pool)
+    lazy = metric._restrict_lazy(pool)
+    return lazy if lazy is not None else metric._restrict(pool)
 
 
 def _materialize_objective(objective: Objective) -> Objective:
@@ -410,10 +413,13 @@ def solve_sharded(
                 f"checkpoint shard layout {tuple(resume_from.shard_sizes)} does "
                 f"not match the current partition {shard_sizes}"
             )
-        resumed = {
-            int(index): np.asarray(tuple(global_winners), dtype=int)
-            for index, global_winners in resume_from.shard_winners.items()
-        }
+        for index, global_winners in resume_from.shard_winners.items():
+            ids = check_candidate_pool(global_winners, objective.n)
+            if not (0 <= index < len(parts) and np.isin(ids, parts[index]).all()):
+                raise InvalidParameterError(
+                    f"checkpoint winners of shard {index} do not lie in that shard"
+                )
+            resumed[int(index)] = ids
 
     # Explicit-start root span, closed at the end, where it also yields
     # ``metadata["timings"]``.
@@ -430,7 +436,6 @@ def solve_sharded(
     # slices), keeping the winners of shards no bigger than their quota
     # without solving at all, and skipping shards a resume checkpoint
     # already covers.
-    restrictions: List[Optional[Restriction]] = []
     payloads: List[Tuple[int, tuple]] = []
     winners: List[np.ndarray] = [np.zeros(0, dtype=int)] * len(parts)
     solved_mask = [False] * len(parts)
@@ -439,17 +444,14 @@ def solve_sharded(
             if index in resumed:
                 winners[index] = resumed[index]
                 solved_mask[index] = True
-                restrictions.append(None)
                 continue
             if shard.size <= keep:
                 winners[index] = shard
                 solved_mask[index] = True
-                restrictions.append(None)
                 continue
-            restriction = Restriction(
-                objective, shard, metric=sub_metric(metric, shard, materialize=False)
+            restriction = Restriction._from_trusted(
+                objective, shard, sub_metric(metric, shard, materialize=False)
             )
-            restrictions.append(restriction)
             payloads.append(
                 (
                     index,
@@ -497,8 +499,7 @@ def solve_sharded(
         index: int, local_winners: List[Element], bundle: SpanBundle
     ) -> None:
         nonlocal completions
-        restriction = restrictions[index]
-        winners[index] = np.asarray(restriction.to_global(local_winners), dtype=int)
+        winners[index] = parts[index][np.asarray(local_winners, dtype=int)]
         solved_mask[index] = True
         # Tolerant timing merge: only shards that actually finished ship a
         # span bundle back; lost workers simply contribute nothing here
@@ -673,8 +674,9 @@ def solve_sharded(
         with maybe_span(
             trace, "final_solve", core=int(core.size), algorithm=algorithm
         ):
-            final_metric = sub_metric(metric, core, final_materialize)
-            final_restriction = Restriction(objective, core, metric=final_metric)
+            final_restriction = Restriction._from_trusted(
+                objective, core, sub_metric(metric, core, final_materialize)
+            )
             if algorithm == "local_search":
                 # Seed the final search with the core-set greedy solution
                 # instead of the default best-pair basis: the shard stage

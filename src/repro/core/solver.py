@@ -236,7 +236,7 @@ def solve_restricted(
         objective,
         algorithm,
         p=None if p is None else min(p, restriction.n),
-        matroid=None if matroid is None else matroid.restrict(restriction.candidates),
+        matroid=None if matroid is None else matroid._restrict(restriction._pool),
         local_search_config=local_search_config,
         control=RunControl.coerce(control).scoped(restriction.candidates),
     )

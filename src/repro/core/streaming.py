@@ -49,6 +49,7 @@ from repro.core.result import SolverResult, build_result
 from repro.exceptions import InvalidParameterError
 from repro.functions.base import GainState
 from repro.utils.deadline import mark_interrupted
+from repro.utils.validation import check_cardinality
 
 
 @dataclass
@@ -258,6 +259,7 @@ def streaming_diversify(
         :meth:`StreamingDiversifier.process_stream`.
     """
     started = time.perf_counter()
+    p = check_cardinality(p)
     control = RunControl.coerce(control)
     order: Tuple[Element, ...] = (
         tuple(range(objective.n)) if arrival_order is None else tuple(arrival_order)

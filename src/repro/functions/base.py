@@ -26,6 +26,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro._types import Element
+from repro.utils.validation import check_candidate_pool
 
 
 class GainState:
@@ -251,14 +252,19 @@ class SetFunction(ABC):
         """Return ``f`` restricted to ``elements``, re-indexed from 0.
 
         Local element ``i`` of the restriction is the ``i``-th entry of
-        ``elements`` (deduplicated, first-seen order).  The default wraps
-        this function in an index-mapping view that delegates every oracle
-        call; families with a direct representation override it (modular
-        functions slice their weight vector).
+        ``elements`` (deduplicated, first-seen order), checked here and
+        handed to :meth:`_restrict`.  The default wraps this function in an
+        index-mapping view that delegates every oracle call; families with a
+        direct representation override it (modular functions slice their
+        weight vector).
         """
+        return self._restrict(check_candidate_pool(elements, self.n))
+
+    def _restrict(self, pool: np.ndarray) -> "SetFunction":
+        """:meth:`restrict` on a checked pool (the hook families override)."""
         from repro.functions.restricted import RestrictedSetFunction
 
-        return RestrictedSetFunction(self, elements)
+        return RestrictedSetFunction(self, pool)
 
     # ------------------------------------------------------------------
     # Helpers

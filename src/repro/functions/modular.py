@@ -15,7 +15,7 @@ import numpy as np
 from repro._types import Element
 from repro.exceptions import InvalidParameterError, NonFiniteDataError
 from repro.functions.base import Candidates, GainState, SetFunction
-from repro.utils.validation import check_candidate_pool, check_finite_array
+from repro.utils.validation import check_finite_array
 
 
 class ModularFunction(SetFunction):
@@ -130,10 +130,9 @@ class ModularFunction(SetFunction):
         """Return an independent copy (used by the dynamic engine)."""
         return ModularFunction(self._weights.copy())
 
-    def restrict(self, elements: Iterable[Element]) -> "ModularFunction":
+    def _restrict(self, pool: np.ndarray) -> "ModularFunction":
         """Restriction of a modular function is a weight-vector slice (O(k))."""
-        idx = check_candidate_pool(elements, self.n)
-        return ModularFunction(self._weights[idx])
+        return ModularFunction(self._weights[pool])
 
 
 class ZeroFunction(SetFunction):
@@ -176,6 +175,6 @@ class ZeroFunction(SetFunction):
     def parallel_safe(self) -> bool:
         return True
 
-    def restrict(self, elements: Iterable[Element]) -> "ZeroFunction":
+    def _restrict(self, pool: np.ndarray) -> "ZeroFunction":
         """Restriction of the zero function is the zero function on the pool."""
-        return ZeroFunction(check_candidate_pool(elements, self.n).size)
+        return ZeroFunction(pool.size)

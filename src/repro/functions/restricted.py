@@ -11,13 +11,12 @@ functions slice their weight vector in O(k)).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, Sequence, Tuple
 
 import numpy as np
 
 from repro._types import Element
 from repro.functions.base import Candidates, GainState, SetFunction
-from repro.utils.validation import check_candidate_pool
 
 
 class _RestrictedGainState(GainState):
@@ -30,17 +29,15 @@ class RestrictedSetFunction(SetFunction):
     """``f`` restricted to a candidate pool, re-indexed from 0.
 
     Local element ``i`` maps to ``pool[i]`` in the parent's universe, where
-    ``pool`` is the candidate iterable deduplicated in first-seen order.
+    ``pool`` is a checked pool (see :meth:`SetFunction.restrict`).
     Restriction preserves modularity, submodularity and monotonicity, so the
     declared structure passes through to the parent's.
     """
 
-    def __init__(self, parent: SetFunction, elements: Iterable[Element]) -> None:
+    def __init__(self, parent: SetFunction, pool: Sequence[Element]) -> None:
         self._parent = parent
-        self._globals: Tuple[Element, ...] = tuple(
-            check_candidate_pool(elements, parent.n).tolist()
-        )
-        self._globals_array = np.asarray(self._globals, dtype=int)
+        self._globals_array = np.asarray(pool, dtype=int)
+        self._globals: Tuple[Element, ...] = tuple(self._globals_array.tolist())
 
     # ------------------------------------------------------------------
     # Accessors

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro._types import Element
 from repro.exceptions import InfeasibleError, MatroidError, NotIndependentError
+from repro.utils.validation import check_candidate_pool
 
 
 class Matroid(ABC):
@@ -165,14 +166,19 @@ class Matroid(ABC):
 
         Matroids are closed under restriction, so the result is again a
         matroid; local element ``i`` is the ``i``-th entry of ``elements``
-        (deduplicated, first-seen order).  The default wraps the independence
-        oracle with an index mapping; families whose restriction has a direct
-        representation override it (uniform → uniform, partition → partition,
-        truncation → truncation of the restricted inner matroid).
+        (deduplicated, first-seen order), checked here and handed to
+        :meth:`_restrict`.  The default wraps the independence oracle with an
+        index mapping; families whose restriction has a direct representation
+        override it (uniform → uniform, partition → partition, truncation →
+        truncation of the restricted inner matroid).
         """
+        return self._restrict(check_candidate_pool(elements, self.n))
+
+    def _restrict(self, pool: np.ndarray) -> "Matroid":
+        """:meth:`restrict` on a checked pool (the hook families override)."""
         from repro.matroids.restriction import RestrictedMatroid
 
-        return RestrictedMatroid(self, elements)
+        return RestrictedMatroid(self, pool)
 
     def bases(self, *, limit: Optional[int] = None) -> Iterator[FrozenSet[Element]]:
         """Enumerate bases (exponential; intended for small test instances)."""

@@ -18,7 +18,6 @@ import numpy as np
 from repro._types import Element
 from repro.exceptions import InvalidParameterError, NotIndependentError
 from repro.matroids.base import Matroid
-from repro.utils.validation import check_candidate_pool
 
 
 class PartitionMatroid(Matroid):
@@ -167,10 +166,9 @@ class PartitionMatroid(Matroid):
         within = same_block & (caps >= 2)[:, None]
         return cross | within
 
-    def restrict(self, elements: Iterable[Element]) -> "PartitionMatroid":
+    def _restrict(self, pool: np.ndarray) -> "PartitionMatroid":
         """Restriction keeps each element's block label and the block capacities."""
-        pool = check_candidate_pool(elements, self.n).tolist()
-        block_of = [self._block_of[e] for e in pool]
+        block_of = [self._block_of[e] for e in pool.tolist()]
         capacities = {label: self.capacity(label) for label in set(block_of)}
         return PartitionMatroid(block_of, capacities)
 

@@ -5,35 +5,34 @@ query-scoped candidate pool stays inside the framework of Theorem 2: local
 search over the restricted matroid retains its guarantee on the sub-instance.
 :class:`RestrictedMatroid` is the generic oracle-based fallback for
 :meth:`~repro.matroids.base.Matroid.restrict`; families with a direct
-restricted representation (uniform, partition, truncated) override
-``restrict`` and never construct this wrapper.
+restricted representation (uniform, partition, truncated) override the
+``_restrict`` hook and never construct this wrapper.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._types import Element
 from repro.matroids.base import Matroid
-from repro.utils.validation import check_candidate_pool
 
 
 class RestrictedMatroid(Matroid):
     """A matroid restricted to a candidate pool, re-indexed from 0.
 
-    Local element ``i`` maps to ``pool[i]`` in the inner matroid's universe
-    (``pool`` = the candidate iterable deduplicated in first-seen order).
+    Local element ``i`` maps to ``pool[i]`` in the inner matroid's universe,
+    where ``pool`` is a checked pool (see :meth:`Matroid.restrict`).
     Independence, swap candidacy and the swap-feasibility mask are delegated
     to the inner matroid after index translation, so a closed-form swap rule
     stays closed-form.  The pair mask uses the base default over the pool's
     own pairs (O(k²) oracle calls), never the inner matroid's O(n²) mask.
     """
 
-    def __init__(self, inner: Matroid, elements: Iterable[Element]) -> None:
+    def __init__(self, inner: Matroid, pool: Sequence[Element]) -> None:
         self._inner = inner
-        self._global_array = check_candidate_pool(elements, inner.n)
+        self._global_array = np.asarray(pool, dtype=int)
         self._globals: Tuple[Element, ...] = tuple(self._global_array.tolist())
         self._locals: Dict[Element, Element] = {
             g: i for i, g in enumerate(self._globals)

@@ -72,6 +72,6 @@ class TruncatedMatroid(Matroid):
             return np.zeros((self.n, self.n), dtype=bool)
         return self._inner.pair_feasibility_mask()
 
-    def restrict(self, elements: Iterable[Element]) -> "TruncatedMatroid":
+    def _restrict(self, pool: np.ndarray) -> "TruncatedMatroid":
         """Restriction commutes with truncation: restrict the inner matroid, keep the cap."""
-        return TruncatedMatroid(self._inner.restrict(elements), self._p)
+        return TruncatedMatroid(self._inner._restrict(pool), self._p)

@@ -13,7 +13,6 @@ import numpy as np
 from repro._types import Element
 from repro.exceptions import InvalidParameterError
 from repro.matroids.base import Matroid
-from repro.utils.validation import check_candidate_pool
 
 
 class UniformMatroid(Matroid):
@@ -69,10 +68,9 @@ class UniformMatroid(Matroid):
         feasible = self._p >= 2
         return np.full((self._n, self._n), feasible, dtype=bool)
 
-    def restrict(self, elements: Iterable[Element]) -> "UniformMatroid":
+    def _restrict(self, pool: np.ndarray) -> "UniformMatroid":
         """Restriction of ``U_{p,n}`` to a pool of size ``k`` is ``U_{min(p,k),k}``."""
-        size = check_candidate_pool(elements, self._n).size
-        return UniformMatroid(size, min(self._p, size))
+        return UniformMatroid(pool.size, min(self._p, pool.size))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"UniformMatroid(n={self._n}, p={self._p})"

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from repro._types import Element
+from repro.utils.validation import check_candidate_pool
 
 
 class Metric(ABC):
@@ -94,8 +95,13 @@ class Metric(ABC):
         O(k) state (e.g. a slice of the feature matrix).  The sharded solver
         prefers this for algorithms that never need the full shard matrix.
         Metrics without a cheap lazy form return ``None`` (the default) and
-        callers fall back to :meth:`restrict`.
+        callers fall back to :meth:`restrict`.  The pool is checked here and
+        its canonical index array handed to :meth:`_restrict_lazy`.
         """
+        return self._restrict_lazy(check_candidate_pool(elements, self.n))
+
+    def _restrict_lazy(self, pool: np.ndarray) -> Optional["Metric"]:
+        """:meth:`restrict_lazy` on a checked pool (the hook families override)."""
         return None
 
     @property
@@ -137,15 +143,19 @@ class Metric(ABC):
 
         Local element ``i`` of the restricted metric is ``pool[i]`` in this
         metric, where ``pool`` is ``elements`` deduplicated in first-seen
-        order.  The default implementation materializes the induced ``k×k``
-        submatrix through pairwise queries (O(k²) oracle calls, never O(n²));
+        order; it is checked here and handed to :meth:`_restrict`.  The
+        default implementation materializes the induced ``k×k`` submatrix
+        through pairwise queries (O(k²) oracle calls, never O(n²));
         matrix-backed metrics override it with slicing, which is copy-free
         for uniform-stride pools.
         """
-        from repro.metrics.matrix import DistanceMatrix
-        from repro.utils.validation import check_candidate_pool
+        return self._restrict(check_candidate_pool(elements, self.n))
 
-        pool = check_candidate_pool(elements, self.n).tolist()
+    def _restrict(self, pool: np.ndarray) -> "Metric":
+        """:meth:`restrict` on a checked pool (the hook families override)."""
+        from repro.metrics.matrix import DistanceMatrix
+
+        pool = pool.tolist()
         size = len(pool)
         matrix = np.zeros((size, size), dtype=float)
         for i, u in enumerate(pool):

@@ -17,7 +17,7 @@ import numpy as np
 from repro._types import Element
 from repro.exceptions import InvalidParameterError
 from repro.metrics.base import Metric
-from repro.utils.validation import check_candidate_pool, check_finite_array
+from repro.utils.validation import check_finite_array
 
 #: Upper bound on the floats held by one chunk of a block computation.
 _BLOCK_CHUNK_FLOATS = 4 << 20
@@ -115,10 +115,9 @@ class CosineMetric(Metric):
             out[start:stop] = part
         return out
 
-    def restrict_lazy(self, elements: Iterable[Element]) -> "CosineMetric":
+    def _restrict_lazy(self, pool: np.ndarray) -> "CosineMetric":
         """Lazy restriction: slice the unit-vector matrix (O(k·d), never O(k²))."""
-        idx = check_candidate_pool(elements, self.n)
-        return CosineMetric._from_unit(self._unit[idx], self._shift)
+        return CosineMetric._from_unit(self._unit[pool], self._shift)
 
     @property
     def parallel_safe(self) -> bool:

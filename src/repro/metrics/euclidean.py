@@ -14,7 +14,7 @@ import numpy as np
 from repro._types import Element
 from repro.exceptions import InvalidParameterError
 from repro.metrics.base import Metric
-from repro.utils.validation import check_candidate_pool, check_finite_array
+from repro.utils.validation import check_finite_array
 
 #: Upper bound on the number of floats a chunked block computation may hold
 #: in its intermediate ``chunk × cols × d`` difference tensor (32 MiB).
@@ -89,10 +89,9 @@ class EuclideanMetric(Metric):
             out[start:stop] = np.sqrt(np.sum(diff * diff, axis=-1))
         return out
 
-    def restrict_lazy(self, elements: Iterable[Element]) -> "EuclideanMetric":
+    def _restrict_lazy(self, pool: np.ndarray) -> "EuclideanMetric":
         """Lazy restriction: slice the point matrix (O(k·d), never O(k²))."""
-        idx = check_candidate_pool(elements, self.n)
-        return EuclideanMetric(self._points[idx])
+        return EuclideanMetric(self._points[pool])
 
     @property
     def parallel_safe(self) -> bool:

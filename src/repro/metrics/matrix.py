@@ -15,7 +15,7 @@ import numpy as np
 from repro._types import Element
 from repro.exceptions import InvalidParameterError, MetricError
 from repro.metrics.base import Metric
-from repro.utils.validation import check_candidate_pool, check_finite_array
+from repro.utils.validation import check_finite_array
 
 
 class DistanceMatrix(Metric):
@@ -194,8 +194,8 @@ class DistanceMatrix(Metric):
             raise InvalidParameterError("n must be non-negative")
         return cls(np.zeros((n, n)), copy=False)
 
-    def restrict(self, elements: Iterable[Element]) -> "DistanceMatrix":
-        """Return the sub-matrix induced by the given elements (re-indexed).
+    def _restrict(self, pool: np.ndarray) -> "DistanceMatrix":
+        """The sub-matrix induced by a checked pool (re-indexed).
 
         A pool forming a uniform-stride range (any contiguous ``a..b``, or
         every ``s``-th element of one) returns a **copy-free view** into this
@@ -204,10 +204,9 @@ class DistanceMatrix(Metric):
         ``k×k`` submatrix copy.  Both paths skip the constructor's axiom
         checks — a principal submatrix of a valid metric is itself valid.
         """
-        idx = check_candidate_pool(elements, self.n)
-        block = self._strided_block(idx)
+        block = self._strided_block(pool)
         if block is None:
-            block = self._matrix[np.ix_(idx, idx)]
+            block = self._matrix[np.ix_(pool, pool)]
         return DistanceMatrix._from_trusted(block)
 
     def _strided_block(self, idx: np.ndarray) -> Optional[np.ndarray]:

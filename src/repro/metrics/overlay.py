@@ -194,11 +194,8 @@ class PatchedMetric(Metric):
             return None
         return self._base.matrix_view()
 
-    def restrict_lazy(self, elements: Iterable[Element]) -> Optional[Metric]:
-        from repro.utils.validation import check_candidate_pool
-
-        pool = check_candidate_pool(elements, self.n)
-        lazy = self._base.restrict_lazy(pool)
+    def _restrict_lazy(self, pool: np.ndarray) -> Optional[Metric]:
+        lazy = self._base._restrict_lazy(pool)
         if lazy is None:
             return None
         remapped = self._remapped(pool)
@@ -206,12 +203,10 @@ class PatchedMetric(Metric):
             return lazy
         return PatchedMetric(lazy, remapped)
 
-    def restrict(self, elements: Iterable[Element]) -> Metric:
+    def _restrict(self, pool: np.ndarray) -> Metric:
         from repro.metrics.matrix import DistanceMatrix
-        from repro.utils.validation import check_candidate_pool
 
-        pool = check_candidate_pool(elements, self.n)
-        sub = self._base.restrict(pool)
+        sub = self._base._restrict(pool)
         remapped = self._remapped(pool)
         if not remapped:
             return sub
@@ -222,13 +217,20 @@ class PatchedMetric(Metric):
         return DistanceMatrix(matrix, copy=False)
 
     def _remapped(self, pool: np.ndarray) -> Dict[Tuple[int, int], float]:
-        """The overrides between members of ``pool``, in pool-local indices."""
+        """The overrides between members of ``pool``, in pool-local indices.
+
+        Only pool members with an override can end one, so one ``np.isin``
+        against the overridden nodes picks them and the loop visits those
+        alone, in pool order.
+        """
         if not self._by_node:
             return {}
-        positions = {g: i for i, g in enumerate(pool.tolist())}
+        nodes = np.fromiter(self._by_node, dtype=int, count=len(self._by_node))
+        hits = np.flatnonzero(np.isin(pool, nodes))
+        positions = dict(zip(pool[hits].tolist(), hits.tolist()))
         remapped: Dict[Tuple[int, int], float] = {}
         for g, i in positions.items():
-            for t, value in self._by_node.get(g, {}).items():
+            for t, value in self._by_node[g].items():
                 j = positions.get(t)
                 if j is not None and i < j:
                     remapped[(i, j)] = value

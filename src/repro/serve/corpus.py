@@ -248,10 +248,10 @@ class PreparedCorpus:
     def restriction_for(self, pool: Iterable[Element]) -> Restriction:
         """The (cached) sub-universe view for one candidate pool.
 
-        Pools are deduplicated in first-seen order and keyed exactly, so two
-        requests naming the same pool share one view.  On a materialized
-        corpus the view is a submatrix (copy-free for uniform-stride pools);
-        on a lazy corpus it is an O(k·d) lazy slice.
+        Pools are checked, deduplicated in first-seen order and keyed exactly,
+        so two requests naming the same pool share one view.  On a
+        materialized corpus the view is a submatrix (copy-free for
+        uniform-stride pools); on a lazy corpus it is an O(k·d) lazy slice.
         """
         pool_arr = check_candidate_pool(pool, self.n)
         key = tuple(pool_arr.tolist())
@@ -262,14 +262,11 @@ class PreparedCorpus:
                 self._hits += 1
                 return cached
             self._misses += 1
-        if self._materialized:
-            restriction = Restriction(self._objective, key)
-        else:
-            restriction = Restriction(
-                self._objective,
-                key,
-                metric=sub_metric(self._metric, pool_arr, materialize=False),
-            )
+        restriction = Restriction._from_trusted(
+            self._objective,
+            pool_arr,
+            sub_metric(self._metric, pool_arr, materialize=self._materialized),
+        )
         if self._cache_size > 0:
             with self._cache_lock:
                 self._cache[key] = restriction
@@ -280,8 +277,8 @@ class PreparedCorpus:
     def _identity_restriction(self) -> Restriction:
         """The full-universe view (unsharded corpora), built once."""
         if self._identity is None:
-            self._identity = Restriction(
-                self._objective, np.arange(self.n), metric=self._metric
+            self._identity = Restriction._from_trusted(
+                self._objective, np.arange(self.n), self._metric
             )
         return self._identity
 

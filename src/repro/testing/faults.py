@@ -25,10 +25,9 @@ worker.  That makes worker-crash scenarios picklable and, crucially, lets
 the sharded solver's serial in-process fallback succeed on the very same
 objects that just killed the pool.
 
-Wrappers propagate themselves through :meth:`~repro.metrics.base.Metric.restrict_lazy`
-and :meth:`~repro.metrics.base.Metric.restrict`, so a fault planted on a
-corpus metric survives the sharding pipeline's sub-metric construction into
-the workers.
+Wrappers propagate themselves through the restriction hooks
+(``_restrict_lazy``, ``_restrict``), so a fault planted on a corpus metric
+survives the sharding pipeline's sub-metric construction into the workers.
 
 The durability layer gets its own crash-injection helpers, operating on the
 *files* a :class:`~repro.durability.recovery.DurableStore` writes rather
@@ -163,14 +162,14 @@ class FaultyMetric(Metric):
         # layer bypass the fault hooks entirely.
         return None
 
-    def restrict_lazy(self, elements: Iterable[Element]) -> Optional[Metric]:
-        lazy = self._inner.restrict_lazy(elements)
+    def _restrict_lazy(self, pool: np.ndarray) -> Optional[Metric]:
+        lazy = self._inner._restrict_lazy(pool)
         if lazy is None:
             return None
         return self._rewrap(lazy)
 
-    def restrict(self, elements: Iterable[Element]) -> Metric:
-        return self._rewrap(self._inner.restrict(elements))
+    def _restrict(self, pool: np.ndarray) -> Metric:
+        return self._rewrap(self._inner._restrict(pool))
 
     @property
     def parallel_safe(self) -> bool:

@@ -78,15 +78,58 @@ def check_cardinality(p: int, n: Optional[int] = None) -> int:
 def check_candidate_pool(elements: Iterable[int], n: int) -> np.ndarray:
     """Canonicalize a candidate pool against a universe of size ``n``.
 
-    Deduplicates in first-seen order and bounds-checks in one vectorized
-    pass.  Returns the canonical index array — the single dedupe/validation
-    rule every ``restrict`` implementation (metrics, functions, matroids,
-    :class:`~repro.core.restriction.Restriction`) shares.
+    The pool rule: every entry is an integer (NumPy integers included;
+    ``bool``, floats — integral ones too — strings, ``None`` and nested
+    sequences are not), duplicates are dropped in first-seen order, and
+    every entry lies in ``[0, n)``.  A violation raises
+    :class:`InvalidParameterError`; otherwise the canonical index array is
+    returned.
+
+    The rule runs once per pool, at the door where the pool enters:
+    :class:`~repro.core.restriction.Restriction` (behind
+    ``Objective.restrict`` and ``solve(candidates=)``),
+    ``solve_sharded(candidates=)`` and the winners of a resumed sharded
+    checkpoint, ``PreparedCorpus.restriction_for`` (behind the serving
+    window, ``solve_many`` and ``PreparedCorpus.solve``), and the public
+    ``restrict`` / ``restrict_lazy`` of the
+    :class:`~repro.metrics.base.Metric`,
+    :class:`~repro.functions.base.SetFunction` and
+    :class:`~repro.matroids.base.Matroid` protocols.  Everything below a door
+    takes the returned array as checked: the families' ``_restrict`` /
+    ``_restrict_lazy`` hooks never re-check it.
     """
-    idx = np.fromiter(dict.fromkeys(elements), dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
+    if (
+        isinstance(elements, np.ndarray)
+        and elements.ndim == 1
+        and elements.dtype.kind == "i"
+    ):
+        idx = elements.astype(int)
+    else:
+        try:
+            entries = list(elements)
+        except TypeError:
+            raise InvalidParameterError(
+                f"a candidate pool must be an iterable of integers, got "
+                f"{type(elements).__name__}"
+            ) from None
+        for kind in set(map(type, entries)) - {int}:
+            if not issubclass(kind, numbers.Integral) or issubclass(kind, bool):
+                bad = next(e for e in entries if type(e) is kind)
+                raise InvalidParameterError(f"candidate {bad!r} is not an integer")
+        try:
+            idx = np.fromiter(entries, dtype=int, count=len(entries))
+        except OverflowError:
+            raise InvalidParameterError(
+                "a candidate lies outside the universe"
+            ) from None
+    # One sort serves the bounds check and the duplicate test; the
+    # first-seen dedupe runs only when a duplicate is present.
+    ordered = np.sort(idx)
+    if ordered.size and (ordered[0] < 0 or ordered[-1] >= n):
+        bad = int(ordered[0]) if ordered[0] < 0 else int(ordered[-1])
         raise InvalidParameterError(f"candidate {bad} outside the universe")
+    if (ordered[1:] == ordered[:-1]).any():
+        idx = np.fromiter(dict.fromkeys(idx.tolist()), dtype=int)
     return idx
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.control import RunControl
 from repro.core.exact import exact_diversify
 from repro.core.greedy import greedy_diversify
 from repro.core.objective import Objective
@@ -165,3 +166,26 @@ class TestApproximationGuarantee:
         objective = Objective(ModularFunction([1.0] * 6), metric, tradeoff=0.4)
         greedy = greedy_diversify(objective, 6)
         assert greedy.objective_value == pytest.approx(objective.value(range(6)))
+
+
+def test_solves_without_checkpoint_fields_skip_the_fingerprint(monkeypatch):
+    """Only a checkpointing or resuming solve hashes the universe fingerprint."""
+    import repro.core.control as control_module
+
+    calls = []
+    original = control_module.universe_fingerprint
+
+    def counting(*parts):
+        calls.append(parts)
+        return original(*parts)
+
+    monkeypatch.setattr(control_module, "universe_fingerprint", counting)
+    instance = make_synthetic_instance(40, seed=4)
+    greedy_diversify(instance.objective, 5)
+    solve(instance.quality, instance.metric, tradeoff=0.5, p=5, candidates=range(30))
+    solve(instance.quality, instance.metric, tradeoff=0.5, p=5, shards=3)
+    assert calls == []
+    greedy_diversify(
+        instance.objective, 5, control=RunControl(on_checkpoint=lambda cp: None)
+    )
+    assert len(calls) == 1

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.control import RunControl
 from repro.core.local_search import LocalSearchConfig
 from repro.core.sharding import shard_pool, solve_sharded
 from repro.core.solver import solve
@@ -329,6 +332,30 @@ class TestSolveSharded:
                 p=3,
                 shards=2,
                 shard_algorithm="nope",
+            )
+
+
+    @pytest.mark.parametrize("bad", ["outside", "negative", "float", "other_shard"])
+    def test_resume_checks_checkpoint_winners(self, feature_instance, bad):
+        """Resumed winners enter from outside and are checked where they do."""
+        quality, metric = feature_instance.quality, feature_instance.metric
+        checkpoints = []
+        run = dict(tradeoff=0.5, p=4, shards=4)
+        solve_sharded(
+            quality, metric, **run, control=RunControl(on_checkpoint=checkpoints.append)
+        )
+        index = next(iter(checkpoints[0].shard_winners))
+        parts = shard_pool(np.arange(metric.n), shards=4)
+        winners = {
+            "outside": (metric.n,),
+            "negative": (-1,),
+            "float": (float(parts[index][0]),),
+            "other_shard": (int(parts[(index + 1) % 4][0]),),
+        }[bad]
+        tampered = dataclasses.replace(checkpoints[0], shard_winners={index: winners})
+        with pytest.raises(InvalidParameterError):
+            solve_sharded(
+                quality, metric, **run, control=RunControl(resume_from=tampered)
             )
 
 

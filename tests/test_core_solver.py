@@ -5,9 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.baselines import gollapudi_sharma_greedy, matching_diversify
 from repro.core.batch import solve_many
+from repro.core.dispersion import greedy_dispersion
+from repro.core.exact import exact_dispersion, exact_diversify
+from repro.core.greedy import greedy_diversify
+from repro.core.mmr import mmr_select
+from repro.core.objective import Objective
+from repro.core.restriction import Restriction
 from repro.core.sharding import solve_sharded
 from repro.core.solver import ALGORITHMS, solve
+from repro.core.streaming import streaming_diversify
 from repro.data.synthetic import make_synthetic_instance
 from repro.exceptions import InvalidParameterError, SolverError
 from repro.functions.coverage import CoverageFunction
@@ -200,3 +208,82 @@ def test_p_rule_holds_on_every_door(instance, door, p):
         else:
             with pytest.raises(InvalidParameterError):
                 run(instance, p, algorithm)
+
+
+def _objective(instance):
+    return Objective(instance.quality, instance.metric, 0.2)
+
+
+def _corpus(instance):
+    return PreparedCorpus(instance.quality, instance.metric, tradeoff=0.2)
+
+
+#: Every door a candidate pool enters through, as ``door(instance, pool)``.
+POOL_DOORS = {
+    "solve_candidates": lambda i, pool: solve(
+        i.quality, i.metric, tradeoff=0.2, p=3, candidates=pool
+    ),
+    "solve_sharded": lambda i, pool: solve_sharded(
+        i.quality, i.metric, tradeoff=0.2, p=3, shards=2, candidates=pool
+    ),
+    "solve_many": lambda i, pool: solve_many(
+        i.quality, i.metric, [pool], tradeoff=0.2, p=3
+    ),
+    "corpus": lambda i, pool: _corpus(i).solve(pool, p=3),
+    "restriction_for": lambda i, pool: _corpus(i).restriction_for(pool),
+    "objective_restrict": lambda i, pool: _objective(i).restrict(pool),
+    "restriction": lambda i, pool: Restriction(_objective(i), pool),
+}
+
+
+@pytest.mark.parametrize("door", sorted(POOL_DOORS))
+@pytest.mark.parametrize(
+    "entry", [15, -1, 2.5, 3.0, True, "4", None, [1, 2], np.float64(1.0)], ids=repr
+)
+def test_pool_rule_holds_on_every_door(instance, door, entry):
+    """An out-of-range, negative or non-integer entry raises at every door."""
+    with pytest.raises(InvalidParameterError):
+        POOL_DOORS[door](instance, [0, 2, 5, 7, entry])
+
+
+@pytest.mark.parametrize("door", sorted(POOL_DOORS))
+def test_pool_doors_accept_numpy_integers(instance, door):
+    pool = [0, 2, 5, 7, 11]
+    got = POOL_DOORS[door](instance, [np.int64(e) for e in pool])
+    want = POOL_DOORS[door](instance, pool)
+    if isinstance(want, list):
+        got, want = got[0], want[0]
+    if isinstance(want, Restriction):
+        assert got.candidates == want.candidates == tuple(pool)
+    else:
+        assert got.order == want.order
+
+
+#: Every algorithm function that takes ``p``, as ``run(objective, p)``.
+P_FUNCTIONS = {
+    "greedy_diversify": greedy_diversify,
+    "mmr_select": mmr_select,
+    "gollapudi_sharma_greedy": gollapudi_sharma_greedy,
+    "matching_diversify": matching_diversify,
+    "exact_diversify": exact_diversify,
+    "greedy_dispersion": lambda objective, p: greedy_dispersion(objective.metric, p),
+    "exact_dispersion": lambda objective, p: exact_dispersion(objective.metric, p),
+    "streaming_diversify": streaming_diversify,
+}
+
+
+@pytest.mark.parametrize("function", sorted(P_FUNCTIONS))
+@pytest.mark.parametrize("p", [40.5, 2.5, True, -1, "3"], ids=repr)
+def test_p_rule_holds_on_every_function(function, p):
+    """Called directly, every algorithm function rejects a malformed p."""
+    objective = make_synthetic_instance(8, seed=3).objective
+    with pytest.raises(InvalidParameterError):
+        P_FUNCTIONS[function](objective, p)
+
+
+@pytest.mark.parametrize("function", sorted(P_FUNCTIONS))
+def test_p_is_clamped_to_the_universe(function):
+    objective = make_synthetic_instance(8, seed=3).objective
+    run = P_FUNCTIONS[function]
+    assert run(objective, 40).size == 8
+    assert run(objective, np.int64(3)).order == run(objective, 3).order

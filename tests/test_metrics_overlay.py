@@ -128,3 +128,30 @@ class TestPatchedMetricEdges:
         with pytest.raises(InvalidParameterError):
             metric.rebase(EuclideanMetric(np.eye(3)))
         assert metric.n == 4
+
+
+def _remapped_reference(metric, pool):
+    """The position-dict loop over every pool member ``_remapped`` replaced."""
+    positions = {g: i for i, g in enumerate(pool.tolist())}
+    remapped = {}
+    for g, i in positions.items():
+        for t, value in metric._by_node.get(g, {}).items():
+            j = positions.get(t)
+            if j is not None and i < j:
+                remapped[(i, j)] = value
+    return remapped
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_remapped_matches_the_full_pool_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    metric = PatchedMetric(EuclideanMetric(_line_points(seed, n)))
+    for _ in range(int(rng.integers(0, 3 * n))):
+        u, v = rng.choice(n, size=2, replace=False)
+        metric.set_override(u, v, float(rng.uniform(0.0, 10.0)))
+    if rng.random() < 0.5:
+        metric.drop_overrides(rng.choice(n, size=int(rng.integers(1, 4))))
+    pool = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+    got = metric._remapped(pool)
+    assert list(got.items()) == list(_remapped_reference(metric, pool).items())

@@ -25,7 +25,7 @@ runs the three steps directly::
 
 A pool is checked once, where it enters
 (:func:`~repro.utils.validation.check_candidate_pool`): in
-:class:`Restriction` (behind ``Objective.restrict`` and ``solve``), in
+:class:`Restriction` (behind ``Objective.restrict``), in ``solve``, in
 ``solve_sharded`` or in ``PreparedCorpus.restriction_for``.  Step 1 hands
 the canonical index array to the families' ``_restrict`` hooks, which take
 it as checked; the public ``restrict`` methods check their own input.

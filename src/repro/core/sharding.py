@@ -6,14 +6,19 @@ thousands of elements.  This module lifts that cap with the classic
 *composable core-set* scheme for max-sum diversification:
 
 1. **Partition** the universe (or candidate pool) into contiguous shards.
-2. **Solve each shard** as an independent sub-instance built by the
-   restriction layer (:class:`~repro.core.restriction.Restriction`), using
-   the lazy metric tier (:meth:`~repro.metrics.base.Metric.restrict_lazy` /
+2. **Solve each shard** (the *shard stage*) as an independent sub-instance
+   built by the restriction hooks on the lazy metric tier
+   (:meth:`~repro.metrics.base.Metric.restrict_lazy` /
    :meth:`~repro.metrics.base.Metric.block`) so no step ever touches the
    global ``n × n`` matrix.  Shards are independent, so the map optionally
    runs on a thread or process pool.
 3. **Union** the per-shard winners into a small core-set and run the final
-   algorithm on that union, lifting indices back into the original universe.
+   algorithm on that union (the *core stage*), lifting indices back into the
+   original universe.
+
+:func:`solve_sharded` runs the two stages on its own partition; the sharded
+dynamic engine runs them on its slot-range shards (a tick repairs its dirty
+shards, then the core when it moved; ``resolve_full`` runs both).
 
 With ``per_shard_p = p`` winners per shard the union is the standard
 composable core-set for sum-dispersion objectives: each shard keeps every
@@ -38,9 +43,11 @@ harvests futures individually (instead of ``Executor.map``) so that
   cancel_futures=True)`` — harvests whatever already finished, and re-runs
   the unfinished shards **serially in-process** with bounded exponential-
   backoff retries;
-* a shard that still fails serially contributes zero winners and a
-  structured entry in ``metadata["sharding"]["failures"]`` — the core-set
-  simply shrinks, the final stage still runs, and
+* a shard that still fails serially keeps the winners it already had —
+  none on a fresh solve, the previous ones on a dynamic tick — and gets a
+  structured ``{"shard", "stage", "error"}`` record (in
+  ``metadata["sharding"]["failures"]``, and counted by ``SHARD_FAILURES``):
+  the core-set simply shrinks, the final stage still runs, and
   ``metadata["degraded"] = True`` flags the loss;
 * a cooperative :class:`~repro.utils.deadline.Deadline` caps the whole
   pipeline: it is shipped *into* every shard solve (re-anchoring across
@@ -54,8 +61,10 @@ harvests futures individually (instead of ``Executor.map``) so that
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -81,7 +90,7 @@ from repro.obs.instrument import (
 )
 from repro.obs.trace import SpanBundle, Stopwatch, Trace
 from repro.utils.deadline import Deadline, mark_interrupted
-from repro.utils.validation import check_candidate_pool
+from repro.utils.validation import _check_integer, check_candidate_pool
 
 __all__ = ["shard_pool", "solve_sharded", "sub_metric"]
 
@@ -116,13 +125,11 @@ def shard_pool(
     """
     if shards is None and shard_size is None:
         raise InvalidParameterError("supply shards or shard_size")
+    if shard_size is not None:
+        shard_size = _check_integer("shard_size", shard_size, 1)
     if shards is None:
-        if shard_size < 1:
-            raise InvalidParameterError("shard_size must be at least 1")
         shards = -(-pool.size // shard_size) if pool.size else 1
-    if shards < 1:
-        raise InvalidParameterError("shards must be at least 1")
-    count = min(shards, max(pool.size, 1))
+    count = min(_check_integer("shards", shards, 1), max(pool.size, 1))
     return [part for part in np.array_split(pool, count) if part.size]
 
 
@@ -170,16 +177,15 @@ def _materialize_objective(objective: Objective) -> Objective:
 
 
 def _solve_shard(
-    payload: Tuple[
-        Objective,
-        str,
-        int,
-        Optional[LocalSearchConfig],
-        bool,
-        Optional[Deadline],
-        int,
-        bool,
-    ],
+    objective: Objective,
+    index: int,
+    *,
+    algorithm: str,
+    p: int,
+    config: Optional[LocalSearchConfig],
+    materialize: bool,
+    deadline: Optional[Deadline],
+    traced: bool,
 ) -> Tuple[List[Element], SpanBundle]:
     """Solve one shard sub-instance; returns (local winners, span bundle).
 
@@ -195,10 +201,9 @@ def _solve_shard(
     local :class:`~repro.obs.trace.Trace` (contextvars and pickled traces
     cannot cross pool boundaries) and ships the bundle back with the result —
     the bundle's root ``shard`` span *is* the shard's elapsed-seconds record,
-    and when the parent solve is traced (``payload[-1]``) the inner solve
-    phases ride along and are adopted into the parent trace.
+    and when the parent solve is ``traced`` the inner solve phases ride along
+    and are adopted into the parent trace.
     """
-    objective, algorithm, p, config, materialize, deadline, index, traced = payload
     from repro.core.solver import _dispatch
 
     worker_trace = Trace()
@@ -320,29 +325,8 @@ def solve_sharded(
         pool fell back to serial execution.
     """
     started = time.perf_counter()
-    if executor not in _EXECUTORS:
-        raise InvalidParameterError(
-            f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
-        )
-    if max_workers is not None and max_workers < 1:
-        raise InvalidParameterError("max_workers must be at least 1")
-    if per_shard_p is not None and per_shard_p < 1:
-        raise InvalidParameterError("per_shard_p must be at least 1")
-    if shard_timeout_s is not None and shard_timeout_s <= 0:
-        raise InvalidParameterError("shard_timeout_s must be positive")
-    if shard_retries < 0:
-        raise InvalidParameterError("shard_retries must be non-negative")
-    if retry_backoff_s < 0:
-        raise InvalidParameterError("retry_backoff_s must be non-negative")
-    from repro.core.solver import ALGORITHMS, check_query, solve_restricted
-
-    p = check_query(metric.n, algorithm, p, None)
-    control = RunControl.coerce(control)
-    deadline, trace = control.deadline, control.trace
-    # Shard solves and the final stage get the deadline and the trace only.
-    stage_control = RunControl(deadline=deadline, trace=trace)
-
     objective = Objective(quality, metric, tradeoff)
+    control = RunControl.coerce(control)
     if candidates is not None:
         # Keep the user's first-seen order for delegation and metadata (the
         # restriction-layer convention); sort only the partitioning pool so
@@ -353,42 +337,92 @@ def solve_sharded(
     else:
         user_pool = None
         pool = np.arange(objective.n)
-    parts = shard_pool(pool, shards=shards, shard_size=shard_size)
+    return _solve_parts(
+        objective,
+        shard_pool(pool, shards=shards, shard_size=shard_size),
+        user_pool,
+        p=p,
+        started=started,
+        algorithm=algorithm,
+        shard_algorithm=shard_algorithm,
+        per_shard_p=per_shard_p,
+        materialize_shards=materialize_shards,
+        max_workers=max_workers,
+        executor=executor,
+        local_search_config=local_search_config,
+        shard_timeout_s=shard_timeout_s,
+        shard_retries=shard_retries,
+        retry_backoff_s=retry_backoff_s,
+        control=control,
+    )
+
+
+def _solve_parts(
+    objective: Objective,
+    parts: List[np.ndarray],
+    pool: Optional[np.ndarray],
+    *,
+    p: int,
+    started: float,
+    algorithm: str = "auto",
+    shard_algorithm: Optional[str] = None,
+    per_shard_p: Optional[int] = None,
+    materialize_shards: Optional[bool] = None,
+    max_workers: Optional[int] = None,
+    executor: str = "thread",
+    local_search_config: Optional[LocalSearchConfig] = None,
+    shard_timeout_s: Optional[float] = None,
+    shard_retries: int = 1,
+    retry_backoff_s: float = 0.05,
+    control: Optional[RunControl] = None,
+) -> SolverResult:
+    """:func:`solve_sharded` past its partition: ``parts`` are sorted id
+    arrays, ``pool`` the checked candidate pool in first-seen order (``None``
+    for the whole universe), on which a single part runs the plain solve."""
+    if executor not in _EXECUTORS:
+        raise InvalidParameterError(
+            f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
+        )
+    if max_workers is not None:
+        max_workers = _check_integer("max_workers", max_workers, 1)
+    if per_shard_p is not None:
+        per_shard_p = _check_integer("per_shard_p", per_shard_p, 1)
+    if shard_timeout_s is not None and shard_timeout_s <= 0:
+        raise InvalidParameterError("shard_timeout_s must be positive")
+    shard_retries = _check_integer("shard_retries", shard_retries, 0)
+    if retry_backoff_s < 0:
+        raise InvalidParameterError("retry_backoff_s must be non-negative")
+    from repro.core.solver import ALGORITHMS, _solve_pool, check_query
+
+    p = check_query(objective.n, algorithm, p, None)
+    control = RunControl.coerce(control)
+    deadline, trace = control.deadline, control.trace
+    # Shard solves and the final stage get the deadline and the trace only.
+    stage_control = RunControl(deadline=deadline, trace=trace)
 
     if len(parts) <= 1:
-        # One shard ≡ the plain solve; delegate so results are bit-identical.
-        # Checkpoint/resume does not apply to the degenerate path (there is
-        # no shard progress to snapshot); the deadline still does.
-        from repro.core.solver import solve
-
-        result = solve(
-            quality,
-            metric,
-            tradeoff=tradeoff,
+        # One shard ≡ the plain solve on the checked pool; delegate so results
+        # are bit-identical.  Checkpoint/resume does not apply to the
+        # degenerate path (there is no shard progress to snapshot); the
+        # deadline still does.
+        result = _solve_pool(
+            objective,
+            pool,
+            algorithm,
             p=p,
-            algorithm=algorithm,
-            candidates=user_pool,
+            matroid=None,
             local_search_config=local_search_config,
             control=stage_control,
         )
+        size = sum(int(part.size) for part in parts)
         metadata = dict(result.metadata)
         metadata["sharding"] = {
             "shards": 1,
-            "shard_sizes": [int(pool.size)],
-            "core_size": int(pool.size),
+            "shard_sizes": [size],
+            "core_size": size,
             "degenerate": True,
         }
-        return SolverResult(
-            selected=result.selected,
-            order=result.order,
-            objective_value=result.objective_value,
-            quality_value=result.quality_value,
-            dispersion_value=result.dispersion_value,
-            algorithm=result.algorithm,
-            iterations=result.iterations,
-            elapsed_seconds=result.elapsed_seconds,
-            metadata=metadata,
-        )
+        return dataclasses.replace(result, metadata=metadata)
 
     shard_algorithm = shard_algorithm or "greedy"
     if shard_algorithm not in ALGORITHMS:
@@ -405,8 +439,7 @@ def solve_sharded(
     # has its own dedicated InvalidParameterError below.
     fingerprint = control.fingerprint("sharded", objective.n, objective.tradeoff)
     resume_from = control.resume("sharded", objective.n, fingerprint)
-    on_checkpoint, checkpoint_every = control.on_checkpoint, control.checkpoint_every
-    resumed: Dict[int, np.ndarray] = {}
+    winners: Dict[int, np.ndarray] = {}
     if resume_from is not None:
         if tuple(resume_from.shard_sizes) != shard_sizes:
             raise InvalidParameterError(
@@ -419,7 +452,22 @@ def solve_sharded(
                 raise InvalidParameterError(
                     f"checkpoint winners of shard {index} do not lie in that shard"
                 )
-            resumed[int(index)] = ids
+            winners[int(index)] = ids
+    resumed = sorted(winners)
+
+    def checkpoint() -> SolveCheckpoint:
+        return SolveCheckpoint(
+            kind="sharded",
+            n=objective.n,
+            p=p,
+            shard_winners={
+                index: tuple(winners[index].tolist()) for index in sorted(winners)
+            },
+            shard_sizes=shard_sizes,
+            elapsed_seconds=time.perf_counter() - started,
+            metadata={"algorithm": algorithm, "shard_algorithm": shard_algorithm},
+            fingerprint=fingerprint,
+        )
 
     # Explicit-start root span, closed at the end, where it also yields
     # ``metadata["timings"]``.
@@ -431,76 +479,145 @@ def solve_sharded(
         shards=len(parts),
         executor=executor,
     )
+    report = _shard_stage(
+        objective,
+        {index: part for index, part in enumerate(parts) if index not in winners},
+        winners,
+        algorithm=shard_algorithm,
+        keep=keep,
+        control=control,
+        materialize=materialize_shards,
+        local_search_config=local_search_config,
+        executor=executor,
+        max_workers=max_workers,
+        shard_timeout_s=shard_timeout_s,
+        shard_retries=shard_retries,
+        retry_backoff_s=retry_backoff_s,
+        checkpoint=checkpoint,
+    )
+    core = np.sort(np.concatenate([np.zeros(0, dtype=int), *winners.values()]))
+    result = _core_stage(
+        objective,
+        core,
+        algorithm=algorithm,
+        p=p,
+        local_search_config=local_search_config,
+        control=stage_control,
+    )
+
+    degraded = bool(report.failures)
+    metadata = dict(result.metadata)
+    if pool is not None:
+        metadata["candidates"] = tuple(pool.tolist())
+    else:
+        metadata.pop("candidates", None)
+    metadata["sharding"] = {
+        "shards": len(parts),
+        "shard_sizes": list(shard_sizes),
+        "core_size": int(core.size),
+        "per_shard_p": keep,
+        "shard_algorithm": shard_algorithm,
+        "materialized_shards": bool(materialize_shards),
+        "executor": report.executor,
+        "shard_seconds": report.seconds,
+    }
+    if degraded or len(winners) < len(parts) or core.size == 0:
+        metadata["sharding"]["failures"] = report.failures
+        metadata["sharding"]["failed_shards"] = [
+            index for index in range(len(parts)) if index not in winners
+        ]
+    if resumed and core.size:
+        metadata["sharding"]["resumed_shards"] = resumed
+    if degraded:
+        metadata["degraded"] = True
+        metadata["degradation"] = "shard_map"
+    if report.interrupted:
+        mark_interrupted(metadata, deadline, "shard_map")
+    elapsed = time.perf_counter() - started
+    if SOLVES.enabled():
+        SOLVES.inc(path="sharded")
+        SOLVE_SECONDS.observe(elapsed, path="sharded")
+    if trace is not None:
+        root.set(
+            core_size=int(core.size),
+            degraded=degraded,
+            interrupted=report.interrupted,
+        )
+        root.finish()
+        metadata["timings"] = phase_timings(trace, root.id, total=elapsed)
+    return dataclasses.replace(result, elapsed_seconds=elapsed, metadata=metadata)
+
+
+class _ShardReport(NamedTuple):
+    """What the shard stage reports besides the winners it wrote."""
+
+    failures: List[dict]
+    interrupted: bool
+    executor: Optional[str]
+    seconds: float
+
+
+def _shard_stage(
+    objective: Objective,
+    parts: Dict[int, np.ndarray],
+    winners: Dict[int, np.ndarray],
+    *,
+    keep: int,
+    control: RunControl,
+    algorithm: str = "greedy",
+    materialize: bool = False,
+    local_search_config: Optional[LocalSearchConfig] = None,
+    executor: str = "thread",
+    max_workers: Optional[int] = None,
+    shard_timeout_s: Optional[float] = None,
+    shard_retries: int = 0,
+    retry_backoff_s: float = 0.0,
+    checkpoint: Optional[Callable[[], SolveCheckpoint]] = None,
+) -> _ShardReport:
+    """Write the winners of each shard of ``parts`` (index → sorted ids) to
+    ``winners``; a shard whose solve fails keeps the winners it had and gets
+    a failure record.  The defaults are the dynamic engine's: greedy, serial,
+    no retries.  ``control.on_checkpoint`` gets ``checkpoint()`` every
+    ``checkpoint_every`` solved shards."""
+    deadline, trace = control.deadline, control.trace
+    parent = None if trace is None else trace.current_span_id()
+    on_checkpoint, checkpoint_every = control.on_checkpoint, control.checkpoint_every
 
     # Build the shard sub-instances (cheap: lazy metric slices + weight
     # slices), keeping the winners of shards no bigger than their quota
-    # without solving at all, and skipping shards a resume checkpoint
-    # already covers.
-    payloads: List[Tuple[int, tuple]] = []
-    winners: List[np.ndarray] = [np.zeros(0, dtype=int)] * len(parts)
-    solved_mask = [False] * len(parts)
+    # without solving at all.
+    solve = functools.partial(
+        _solve_shard,
+        algorithm=algorithm,
+        p=keep,
+        config=local_search_config,
+        materialize=materialize,
+        deadline=deadline,
+        traced=trace is not None,
+    )
+    payloads: List[Tuple[int, Callable]] = []
     with maybe_span(trace, "restrict", shards=len(parts)):
-        for index, shard in enumerate(parts):
-            if index in resumed:
-                winners[index] = resumed[index]
-                solved_mask[index] = True
-                continue
+        for index, shard in parts.items():
             if shard.size <= keep:
                 winners[index] = shard
-                solved_mask[index] = True
                 continue
-            restriction = Restriction._from_trusted(
-                objective, shard, sub_metric(metric, shard, materialize=False)
+            sub_objective = Objective(
+                objective.quality._restrict(shard),
+                sub_metric(objective.metric, shard, materialize=False),
+                objective.tradeoff,
             )
-            payloads.append(
-                (
-                    index,
-                    (
-                        restriction.objective,
-                        shard_algorithm,
-                        keep,
-                        local_search_config,
-                        materialize_shards,
-                        deadline,
-                        index,
-                        trace is not None,
-                    ),
-                )
-            )
+            payloads.append((index, functools.partial(solve, sub_objective, index)))
 
     shard_watch = Stopwatch()
     failures: List[dict] = []
     interrupted = False
-    degraded = False
     completions = 0
-
-    def emit_checkpoint() -> None:
-        on_checkpoint(
-            SolveCheckpoint(
-                kind="sharded",
-                n=objective.n,
-                p=p,
-                shard_winners={
-                    index: tuple(np.asarray(winners[index]).tolist())
-                    for index in range(len(parts))
-                    if solved_mask[index]
-                },
-                shard_sizes=shard_sizes,
-                elapsed_seconds=time.perf_counter() - started,
-                metadata={
-                    "algorithm": algorithm,
-                    "shard_algorithm": shard_algorithm,
-                },
-                fingerprint=fingerprint,
-            )
-        )
 
     def record_success(
         index: int, local_winners: List[Element], bundle: SpanBundle
     ) -> None:
         nonlocal completions
         winners[index] = parts[index][np.asarray(local_winners, dtype=int)]
-        solved_mask[index] = True
         # Tolerant timing merge: only shards that actually finished ship a
         # span bundle back; lost workers simply contribute nothing here
         # instead of poisoning the merged total.  The bundle's root span
@@ -508,10 +625,10 @@ def solve_sharded(
         # accounting share this one code path.
         shard_watch.add(bundle.elapsed)
         if trace is not None:
-            trace.adopt(bundle, parent_id=root.id)
+            trace.adopt(bundle, parent_id=parent)
         completions += 1
         if on_checkpoint is not None and completions % checkpoint_every == 0:
-            emit_checkpoint()
+            on_checkpoint(checkpoint())
 
     def record_failure(index: int, stage: str, error: BaseException) -> None:
         failures.append({"shard": index, "stage": stage, "error": repr(error)})
@@ -523,15 +640,15 @@ def solve_sharded(
             # loss is visible in the trace instead of silent.
             trace.record_span(
                 "shard",
-                parent_id=root.id,
+                parent_id=parent,
                 status=stage,
                 shard=index,
                 error=repr(error),
             )
 
-    def run_serial(tasks: List[Tuple[int, tuple]]) -> None:
+    def run_serial(tasks: List[Tuple[int, Callable]]) -> None:
         """In-process shard solves with bounded exponential-backoff retries."""
-        nonlocal interrupted, degraded
+        nonlocal interrupted
         for index, task in tasks:
             if deadline is not None and deadline.expired():
                 interrupted = True
@@ -546,7 +663,7 @@ def solve_sharded(
                         )
                     )
                 try:
-                    local_winners, bundle = _solve_shard(task)
+                    local_winners, bundle = task()
                 except Exception as error:
                     last_error = error
                     continue
@@ -556,10 +673,9 @@ def solve_sharded(
             if last_error is not None:
                 # The shard is lost: record it and move on with a smaller
                 # core-set rather than failing the whole solve.
-                degraded = True
                 record_failure(index, "serial", last_error)
 
-    def run_pool(tasks: List[Tuple[int, tuple]]) -> List[Tuple[int, tuple]]:
+    def run_pool(tasks: List[Tuple[int, Callable]]) -> List[Tuple[int, Callable]]:
         """Pooled shard map; returns the shards that need the serial fallback.
 
         Futures are harvested in submission order with a per-shard timeout.
@@ -570,7 +686,7 @@ def solve_sharded(
         already-finished shard's result, and hands the rest back for serial
         in-process execution.  The pool is never allowed to kill the solve.
         """
-        nonlocal interrupted, degraded
+        nonlocal interrupted
         from concurrent.futures import (
             BrokenExecutor,
             ProcessPoolExecutor,
@@ -579,14 +695,11 @@ def solve_sharded(
         from concurrent.futures import TimeoutError as FutureTimeoutError
 
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-        fallback: List[Tuple[int, tuple]] = []
+        fallback: List[Tuple[int, Callable]] = []
         workers = pool_cls(max_workers=max_workers)
         abandoned = False
         try:
-            submitted = [
-                (index, task, workers.submit(_solve_shard, task))
-                for index, task in tasks
-            ]
+            submitted = [(index, task, workers.submit(task)) for index, task in tasks]
             for index, task, future in submitted:
                 if abandoned:
                     # Completed futures keep their results even after the
@@ -613,12 +726,10 @@ def solve_sharded(
                         # unfinished shards without blaming them.
                         interrupted = True
                     else:
-                        degraded = True
                         record_failure(index, "worker_timeout", error)
                         fallback.append((index, task))
                 except BrokenExecutor as error:
                     abandoned = True
-                    degraded = True
                     record_failure(index, "worker_crash", error)
                     fallback.append((index, task))
                 except Exception as error:
@@ -647,7 +758,7 @@ def solve_sharded(
         and (
             executor == "process"
             or (
-                metric.parallel_safe
+                objective.metric.parallel_safe
                 and (array_backed or objective.quality.parallel_safe)
             )
         )
@@ -655,101 +766,66 @@ def solve_sharded(
     if deadline is not None and deadline.expired():
         interrupted = True
     elif use_pool:
-        fallback = run_pool(payloads)
-        if fallback:
-            degraded = True
-            run_serial(fallback)
+        # Every shard the pool lost was recorded as a failure; retry serially.
+        run_serial(run_pool(payloads))
     else:
         run_serial(payloads)
+    return _ShardReport(
+        failures,
+        interrupted,
+        executor if use_pool else None,
+        shard_watch.elapsed_seconds,
+    )
 
-    core = np.sort(np.concatenate(winners))
+
+def _core_stage(
+    objective: Objective,
+    core: np.ndarray,
+    *,
+    algorithm: str,
+    p: int,
+    control: RunControl,
+    local_search_config: Optional[LocalSearchConfig] = None,
+) -> SolverResult:
+    """Run ``algorithm`` for ``p`` on the sorted ``core`` ids, lifted back."""
     if core.size == 0:
         # Every shard was lost (or the deadline expired before any winners
         # existed): the only feasible answer left is the empty selection.
-        result = build_result(
+        return build_result(
             objective, set(), [], algorithm=algorithm, metadata={"p": p}
         )
-    else:
-        final_materialize = algorithm not in _LAZY_FRIENDLY_ALGORITHMS
-        with maybe_span(
-            trace, "final_solve", core=int(core.size), algorithm=algorithm
-        ):
-            final_restriction = Restriction._from_trusted(
-                objective, core, sub_metric(metric, core, final_materialize)
-            )
-            if algorithm == "local_search":
-                # Seed the final search with the core-set greedy solution
-                # instead of the default best-pair basis: the shard stage
-                # already paid for good winners, and a bounded search budget
-                # should refine them, not rebuild from scratch.
-                from repro.core.greedy import greedy_diversify
-                from repro.core.local_search import local_search_diversify
-                from repro.matroids.uniform import UniformMatroid
+    from repro.core.solver import solve_restricted
 
-                final_p = min(p, core.size)
-                seed = greedy_diversify(
-                    final_restriction.objective, final_p, control=stage_control
-                )
-                final = local_search_diversify(
-                    final_restriction.objective,
-                    UniformMatroid(final_restriction.n, final_p),
-                    config=local_search_config,
-                    initial=seed.selected,
-                    control=stage_control,
-                )
-                result = final_restriction.lift(final)
-            else:
-                result = solve_restricted(
-                    final_restriction,
-                    algorithm,
-                    p=p,
-                    local_search_config=local_search_config,
-                    control=stage_control,
-                )
-
-    metadata = dict(result.metadata)
-    if user_pool is not None:
-        metadata["candidates"] = tuple(user_pool.tolist())
-    else:
-        metadata.pop("candidates", None)
-    metadata["sharding"] = {
-        "shards": len(parts),
-        "shard_sizes": list(shard_sizes),
-        "core_size": int(core.size),
-        "per_shard_p": keep,
-        "shard_algorithm": shard_algorithm,
-        "materialized_shards": bool(materialize_shards),
-        "executor": executor if use_pool else None,
-        "shard_seconds": shard_watch.elapsed_seconds,
-    }
-    if failures or not all(solved_mask) or core.size == 0:
-        metadata["sharding"]["failures"] = failures
-        metadata["sharding"]["failed_shards"] = sorted(
-            index for index in range(len(parts)) if not solved_mask[index]
+    with maybe_span(
+        control.trace, "final_solve", core=int(core.size), algorithm=algorithm
+    ):
+        materialize = algorithm not in _LAZY_FRIENDLY_ALGORITHMS
+        restriction = Restriction._from_trusted(
+            objective, core, sub_metric(objective.metric, core, materialize)
         )
-    if resumed and core.size:
-        metadata["sharding"]["resumed_shards"] = sorted(resumed)
-    if degraded:
-        metadata["degraded"] = True
-        metadata["degradation"] = "shard_map"
-    if interrupted:
-        mark_interrupted(metadata, deadline, "shard_map")
-    elapsed = time.perf_counter() - started
-    if SOLVES.enabled():
-        SOLVES.inc(path="sharded")
-        SOLVE_SECONDS.observe(elapsed, path="sharded")
-    if trace is not None:
-        root.set(core_size=int(core.size), degraded=degraded, interrupted=interrupted)
-        root.finish()
-        metadata["timings"] = phase_timings(trace, root.id, total=elapsed)
-    return SolverResult(
-        selected=result.selected,
-        order=result.order,
-        objective_value=result.objective_value,
-        quality_value=result.quality_value,
-        dispersion_value=result.dispersion_value,
-        algorithm=result.algorithm,
-        iterations=result.iterations,
-        elapsed_seconds=elapsed,
-        metadata=metadata,
-    )
+        if algorithm != "local_search":
+            return solve_restricted(
+                restriction,
+                algorithm,
+                p=p,
+                local_search_config=local_search_config,
+                control=control,
+            )
+        # Seed the final search with the core-set greedy solution instead of
+        # the default best-pair basis: the shard stage already paid for good
+        # winners, and a bounded search budget should refine them, not
+        # rebuild from scratch.
+        from repro.core.greedy import greedy_diversify
+        from repro.core.local_search import local_search_diversify
+        from repro.matroids.uniform import UniformMatroid
+
+        final_p = min(p, core.size)
+        seed = greedy_diversify(restriction.objective, final_p, control=control)
+        final = local_search_diversify(
+            restriction.objective,
+            UniformMatroid(restriction.n, final_p),
+            config=local_search_config,
+            initial=seed.selected,
+            control=control,
+        )
+        return restriction.lift(final)

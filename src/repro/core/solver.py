@@ -43,7 +43,7 @@ from repro.obs.instrument import (
     maybe_start_span,
     phase_timings,
 )
-from repro.utils.validation import check_cardinality
+from repro.utils.validation import check_candidate_pool, check_cardinality
 
 #: Algorithms accepted by :func:`solve`.
 ALGORITHMS = (
@@ -141,12 +141,37 @@ def solve(
         )
 
     control = RunControl.coerce(control)
-    trace = control.trace
     objective = Objective(quality, metric, tradeoff)
+    pool = None if candidates is None else check_candidate_pool(candidates, objective.n)
+    return _solve_pool(
+        objective,
+        pool,
+        algorithm,
+        p=p,
+        matroid=matroid,
+        local_search_config=local_search_config,
+        control=control,
+    )
+
+
+def _solve_pool(
+    objective: Objective,
+    pool: Optional[np.ndarray],
+    algorithm: str,
+    *,
+    p: Optional[int],
+    matroid: Optional[Matroid],
+    local_search_config: Optional[LocalSearchConfig],
+    control: RunControl,
+) -> SolverResult:
+    """:func:`solve` past its checks, on a checked ``pool`` (``None``: the
+    whole universe); a one-shard :func:`~repro.core.sharding.solve_sharded`
+    delegates here with the pool it checked."""
+    trace = control.trace
     started = time.perf_counter()
     root = maybe_start_span(trace, "solve", algorithm=algorithm, n=objective.n)
     try:
-        if candidates is None:
+        if pool is None:
             result = _dispatch(
                 objective,
                 algorithm,
@@ -157,7 +182,9 @@ def solve(
             )
         else:
             with maybe_span(trace, "restrict") as restrict_span:
-                restriction = objective.restrict(candidates)
+                restriction = Restriction._from_trusted(
+                    objective, pool, objective.metric._restrict(pool)
+                )
                 restrict_span.set(pool=restriction.n)
             result = solve_restricted(
                 restriction,

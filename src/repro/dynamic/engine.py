@@ -59,6 +59,7 @@ from repro.functions.base import GainState
 from repro.functions.modular import ModularFunction
 from repro.metrics.matrix import DistanceMatrix, GrowableDistanceMatrix
 from repro.obs.instrument import TICK_CERTIFICATES, maybe_span
+from repro.utils.validation import _check_integer
 
 #: Default bound on the diagnostic (perturbation, outcome) history.  Long
 #: sessions at 10⁴+ events/sec would otherwise grow it without limit; pass
@@ -175,7 +176,8 @@ class DynamicDiversifier:
             raise InvalidParameterError(
                 "weights and distances cover different universes"
             )
-        if p < 1 or p > validated.n:
+        p = _check_integer("p", p, 1)
+        if p > validated.n:
             raise InvalidParameterError(
                 f"p must lie in [1, n]; got p={p} for n={validated.n}"
             )
@@ -186,7 +188,7 @@ class DynamicDiversifier:
         self._weights = ModularFunction._from_storage(
             self._weight_store[: self._distances.n]
         )
-        self._p = int(p)
+        self._p = p
         self._tradeoff = float(tradeoff)
         self._validate_metric = bool(validate_metric)
         self._history: Deque[Tuple[Union[Perturbation, EventBatch], UpdateOutcome]] = (

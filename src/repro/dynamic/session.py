@@ -13,11 +13,11 @@ the same :meth:`~DynamicSession.apply_events` interface:
   metric is the lazy tier (:class:`~repro.metrics.euclidean.EuclideanMetric`
   by default) with explicit distance events layered on top as a sparse
   :class:`~repro.metrics.overlay.PatchedMetric`.  Events dirty only the
-  shards of the elements they touch; dirty shards re-run their local greedy
-  on the lazy slice (through the same
-  :func:`~repro.core.sharding.sub_metric` restriction the sharded solver
-  uses), and the small core-set solve re-runs only when shard winners or
-  solution-relevant state actually changed.
+  shards of the elements they touch.  The engine runs the sharded solver's
+  own stages (:mod:`repro.core.sharding`): dirty shards re-run their local
+  greedy through the shard stage, and the small core-set solve re-runs
+  through the core stage only when the core instance (shard winners plus
+  solution) may have changed.
 
 The session also owns the operational conveniences that previously lived in
 ad-hoc driver scripts: periodic snapshots (every ``checkpoint_every`` ticks
@@ -26,10 +26,11 @@ and, for the sharded tier, a periodic full re-solve (``resolve_every``) whose
 result is adopted when it beats the incrementally maintained solution — the
 drift guard the benchmarks assert parity against.
 
-Failure containment mirrors :func:`~repro.core.sharding.solve_sharded`: a
-shard whose local solve raises keeps its previous winners (stale but
-feasible), the failure is recorded, and the session reports itself degraded
-until a later tick repairs the shard.
+Failure containment is :func:`~repro.core.sharding.solve_sharded`'s, since
+the stages are shared: a shard whose local solve raises keeps its previous
+winners (stale but feasible), the failure is recorded in the stage's shape
+(plus the tick), and the session reports itself degraded until a later tick
+repairs the shard.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ import numpy as np
 from repro._types import Element
 from repro.core.checkpoint import SNAPSHOT_FORMAT_VERSION, check_snapshot_version
 from repro.core.control import RunControl
-from repro.core.greedy import greedy_diversify
 from repro.core.objective import Objective
-from repro.core.sharding import solve_sharded, sub_metric
+from repro.core.sharding import _core_stage, _shard_stage, _solve_parts
 from repro.dynamic.engine import (
     DEFAULT_HISTORY_LIMIT,
     DynamicDiversifier,
@@ -77,6 +77,7 @@ from repro.obs.instrument import (
     maybe_start_span,
     phase_timings,
 )
+from repro.utils.validation import _check_integer
 
 __all__ = ["DynamicSession", "SessionSnapshot", "ShardedDynamicEngine"]
 
@@ -157,17 +158,20 @@ class ShardedDynamicEngine:
     slots are retired into a free list and revived by later inserts, so an
     event stream only ever dirties the shards it touches.
 
-    Repair per tick:
+    Repair per tick runs :func:`~repro.core.sharding.solve_sharded`'s
+    stages:
 
-    1. re-solve every dirty shard's local greedy (over its live slots, on
-       the lazily restricted metric) for ``per_shard_p`` winners;
-    2. when winners changed, a member was touched/deleted, or a previous
-       failure left the core stale, re-run the core-set greedy over the
-       union of all winners and the current solution.
+    1. the shard stage re-solves every dirty shard's local greedy (over its
+       live slots, on the lazily restricted metric) for ``per_shard_p``
+       winners, serially and without retries;
+    2. when a shard's winners changed, a touched element lies among the
+       winners or the solution, a member was deleted, or a previous failure
+       left the core stale, the core stage re-runs greedy over the union of
+       all winners and the current solution.
 
     A failing shard solve keeps that shard's previous winners and marks the
-    engine degraded — the same containment contract as
-    :func:`~repro.core.sharding.solve_sharded`.
+    engine degraded, under the stage's failure rule and record (plus the
+    ``tick``).
     """
 
     #: Optional :class:`~repro.obs.trace.Trace` receiving repair spans.  A
@@ -177,6 +181,9 @@ class ShardedDynamicEngine:
     #: The latest plan, the only one :meth:`apply_events` accepts
     #: (:func:`~repro.dynamic.plan.committable`).
     _latest_plan = None
+
+    #: The instance :meth:`_objective` last built.
+    _cached_objective = None
 
     def __init__(
         self,
@@ -197,14 +204,14 @@ class ShardedDynamicEngine:
         validated = ModularFunction(np.asarray(weights, dtype=float))
         if validated.n != pts.shape[0]:
             raise InvalidParameterError("weights and points cover different universes")
-        if p < 1 or p > validated.n:
+        p = _check_integer("p", p, 1)
+        if p > validated.n:
             raise InvalidParameterError(
                 f"p must lie in [1, n]; got p={p} for n={validated.n}"
             )
-        if shard_size < 1:
-            raise InvalidParameterError("shard_size must be at least 1")
-        if per_shard_p is not None and per_shard_p < 1:
-            raise InvalidParameterError("per_shard_p must be at least 1")
+        shard_size = _check_integer("shard_size", shard_size, 1)
+        if per_shard_p is not None:
+            per_shard_p = _check_integer("per_shard_p", per_shard_p, 1)
         self._slots = pts.shape[0]
         capacity = max(self._slots, 4)
         self._points = np.zeros((capacity, pts.shape[1]))
@@ -214,10 +221,10 @@ class ShardedDynamicEngine:
         self._active = np.zeros(capacity, dtype=bool)
         self._active[: self._slots] = True
         self._free: List[int] = []
-        self._p = int(p)
+        self._p = p
         self._tradeoff = float(tradeoff)
-        self._shard_size = int(shard_size)
-        self._per_shard_p = int(per_shard_p) if per_shard_p is not None else int(p)
+        self._shard_size = shard_size
+        self._per_shard_p = p if per_shard_p is None else per_shard_p
         self._metric_factory = metric_factory or EuclideanMetric
         self._base_metric = self._metric_factory(self._points[: self._slots])
         # The one override table, updated in place by distance/delete events.
@@ -229,7 +236,7 @@ class ShardedDynamicEngine:
         self._core_stale = True
         self._ticks = 0
         # Initial solve: every shard is dirty, then one core solve.
-        self._repair(set(range(self.num_shards)), touched_members=False)
+        self._repair(set(range(self.num_shards)))
 
     # ------------------------------------------------------------------
     # State
@@ -376,7 +383,6 @@ class ShardedDynamicEngine:
             self._overlay.set_override(u, v, value)
         touched = np.concatenate([plan.weight_ids, plan.pair_rows, plan.pair_cols])
         dirty: Set[int] = set((touched // self._shard_size).tolist())
-        touched_members = not self._solution.isdisjoint(touched.tolist())
 
         # Inserts: new rows in point space, reviving retired slots first.
         inserted: List[int] = []
@@ -407,7 +413,6 @@ class ShardedDynamicEngine:
                 if element in self._solution:
                     self._solution.discard(element)
                     deleted_members.append(element)
-                    touched_members = True
             gone = set(batch.delete_elements.tolist())
             self._free = sorted(set(self._free) | gone)
             self._overlay.drop_overrides(gone)
@@ -417,7 +422,7 @@ class ShardedDynamicEngine:
             }
 
         with maybe_span(self.trace, "repair", dirty=len(dirty)) as repair_span:
-            core_resolved = self._repair(dirty, touched_members=touched_members)
+            core_resolved = self._repair(dirty, frozenset(touched.tolist()))
             repair_span.set(core_resolved=core_resolved, degraded=self._degraded)
         self._ticks += 1
         metadata = {
@@ -440,54 +445,36 @@ class ShardedDynamicEngine:
     # ------------------------------------------------------------------
     # Repair
     # ------------------------------------------------------------------
-    def _solve_shard(self, shard: int) -> np.ndarray:
-        ids = self._shard_live(shard)
-        if ids.size <= self._per_shard_p:
-            return ids
-        metric = sub_metric(self.metric(), ids, materialize=False)
-        objective = Objective(
-            ModularFunction(self._weights[ids]), metric, self._tradeoff
-        )
-        result = greedy_diversify(objective, self._per_shard_p)
-        return ids[np.fromiter(sorted(result.selected), dtype=int)]
+    def _objective(self) -> Objective:
+        """The current instance.  Its weights view the engine's storage, which
+        the planner keeps valid, so it is rebuilt (and its weights checked)
+        only when the slot count or the metric object changes."""
+        metric, cached = self.metric(), self._cached_objective
+        if (
+            cached is None
+            or cached.metric is not metric
+            or cached.quality.n != self._slots
+        ):
+            weights = ModularFunction._from_storage(self._weights[: self._slots])
+            cached = self._cached_objective = Objective(weights, metric, self._tradeoff)
+        return cached
 
-    def _solve_core(self) -> None:
-        parts = [w for w in self._winners.values() if w.size]
-        live_solution = [e for e in self._solution if self._active[e]]
-        if live_solution:
-            parts.append(np.asarray(live_solution, dtype=int))
-        if not parts:
-            self._solution = set()
-            return
-        core = np.unique(np.concatenate(parts))
-        metric = sub_metric(self.metric(), core, materialize=False)
-        objective = Objective(
-            ModularFunction(self._weights[core]), metric, self._tradeoff
+    def _repair(
+        self, dirty: Set[int], touched: FrozenSet[Element] = frozenset()
+    ) -> bool:
+        """Re-solve the dirty shards, then the core when its instance (the
+        winners plus the solution) may have moved."""
+        objective = self._objective()
+        control = RunControl(trace=self.trace)
+        parts = {shard: self._shard_live(shard) for shard in sorted(dirty)}
+        previous = {shard: self._winners.get(shard) for shard in parts}
+        report = _shard_stage(
+            objective, parts, self._winners, keep=self._per_shard_p, control=control
         )
-        result = greedy_diversify(objective, min(self._p, int(core.size)))
-        self._solution = {int(core[i]) for i in result.selected}
-
-    def _repair(self, dirty: Set[int], *, touched_members: bool) -> bool:
-        """Re-solve dirty shards, then the core when anything relevant moved."""
-        winners_changed = False
-        failed_shards: List[int] = []
-        for shard in sorted(dirty):
-            if shard >= self.num_shards:
-                continue
-            previous = self._winners.get(shard)
-            try:
-                with maybe_span(self.trace, "repair.shard", shard=shard):
-                    winners = self._solve_shard(shard)
-            except Exception as error:  # containment: keep stale winners
-                failed_shards.append(shard)
-                self._failures.append(
-                    {"tick": self._ticks, "shard": shard, "error": repr(error)}
-                )
-                continue
-            if previous is None or not np.array_equal(previous, winners):
-                winners_changed = True
-            self._winners[shard] = winners
-        if failed_shards:
+        self._failures.extend(
+            {"tick": self._ticks, **failure} for failure in report.failures
+        )
+        if report.failures:
             self._degraded = True
             self._core_stale = True
         elif dirty:
@@ -495,17 +482,29 @@ class ShardedDynamicEngine:
             # engine has healed.
             self._degraded = False
 
+        # Touched elements lie in dirty shards, so only their winners can hold
+        # one.
         needs_core = (
-            winners_changed
-            or touched_members
-            or self._core_stale
+            self._core_stale
             or len(self._solution) < self._p
+            or not touched.isdisjoint(self._solution)
+            or any(
+                not np.array_equal(winners, self._winners.get(shard))
+                or not touched.isdisjoint(self._winners.get(shard, ()))
+                for shard, winners in previous.items()
+            )
         )
         if not needs_core:
             return False
+        live = [e for e in self._solution if self._active[e]]
+        core = np.unique(
+            np.concatenate([*self._winners.values(), np.asarray(live, dtype=int)])
+        )
         try:
-            with maybe_span(self.trace, "repair.core"):
-                self._solve_core()
+            result = _core_stage(
+                objective, core, algorithm="greedy", p=self._p, control=control
+            )
+            self._solution = set(result.selected)
             self._core_stale = False
         except Exception as error:
             self._failures.append(
@@ -514,32 +513,31 @@ class ShardedDynamicEngine:
             self._degraded = True
             self._core_stale = True
             # Keep the previous (live-filtered) solution; retry next tick.
-            self._solution = {e for e in self._solution if self._active[e]}
+            self._solution = set(live)
         return True
 
     # ------------------------------------------------------------------
     # Full re-solve (drift guard)
     # ------------------------------------------------------------------
-    def resolve_full(self, *, adopt: bool = True, **solve_kwargs):
+    def resolve_full(self, *, adopt: bool = True, **options):
         """Run a full sharded core-set solve of the current instance.
 
         This is the periodic "re-solve from scratch" the incremental path is
-        measured against: every shard re-solves (optionally on a worker pool
-        — ``executor``/``max_workers``/``shard_timeout_s``/... forward to
-        :func:`~repro.core.sharding.solve_sharded`).  With ``adopt=True`` the
-        result replaces the maintained solution when it scores at least as
-        well, re-anchoring any incremental drift.
+        measured against: :func:`~repro.core.sharding.solve_sharded`'s stages
+        re-solve every one of the engine's own shards.  ``options`` forward
+        to it, except the partition, ``p`` and ``per_shard_p``, which are the
+        engine's.  With ``adopt=True`` the result replaces the maintained
+        solution when it scores at least as well, re-anchoring any
+        incremental drift.
         """
-        quality = ModularFunction(self._weights[: self._slots])
-        result = solve_sharded(
-            quality,
-            self.metric(),
-            tradeoff=self._tradeoff,
+        result = _solve_parts(
+            self._objective(),
+            [self._shard_live(shard) for shard in range(self.num_shards)],
+            self.active_elements(),
             p=self._p,
-            shard_size=self._shard_size,
             per_shard_p=self._per_shard_p,
-            candidates=self.active_elements(),
-            **solve_kwargs,
+            started=time.perf_counter(),
+            **options,
         )
         if adopt and len(result.selected) >= min(
             self._p, self.active_count

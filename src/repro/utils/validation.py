@@ -64,15 +64,24 @@ def check_cardinality(p: int, n: Optional[int] = None) -> int:
     ``p`` must be a non-negative integer (NumPy integers included, ``bool``
     excluded) and, when the universe size ``n`` is given, at most ``n``.
     """
-    if not isinstance(p, numbers.Integral) or isinstance(p, bool):
-        raise InvalidParameterError(f"cardinality p must be an integer, got {p!r}")
-    if p < 0:
-        raise InvalidParameterError(f"cardinality p must be non-negative, got {p}")
+    p = _check_integer("cardinality p", p, 0)
     if n is not None and p > n:
         raise InvalidParameterError(
             f"cardinality p={p} exceeds the universe size n={n}"
         )
-    return int(p)
+    return p
+
+
+def _check_integer(name: str, value: int, minimum: int) -> int:
+    """The integer rule of the count knobs (``p``, shard counts and sizes,
+    worker and retry counts): ``value`` must be an integer (NumPy integers
+    included, ``bool`` excluded) of at least ``minimum``; returned as an
+    ``int``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParameterError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def check_candidate_pool(elements: Iterable[int], n: int) -> np.ndarray:
@@ -87,10 +96,11 @@ def check_candidate_pool(elements: Iterable[int], n: int) -> np.ndarray:
 
     The rule runs once per pool, at the door where the pool enters:
     :class:`~repro.core.restriction.Restriction` (behind
-    ``Objective.restrict`` and ``solve(candidates=)``),
-    ``solve_sharded(candidates=)`` and the winners of a resumed sharded
-    checkpoint, ``PreparedCorpus.restriction_for`` (behind the serving
-    window, ``solve_many`` and ``PreparedCorpus.solve``), and the public
+    ``Objective.restrict``), ``solve(candidates=)``,
+    ``solve_sharded(candidates=)`` (a one-shard call solves on the pool it
+    checked) and the winners of a resumed sharded checkpoint,
+    ``PreparedCorpus.restriction_for`` (behind the serving window,
+    ``solve_many`` and ``PreparedCorpus.solve``), and the public
     ``restrict`` / ``restrict_lazy`` of the
     :class:`~repro.metrics.base.Metric`,
     :class:`~repro.functions.base.SetFunction` and

@@ -17,6 +17,8 @@ from repro.core.sharding import solve_sharded
 from repro.core.solver import ALGORITHMS, solve
 from repro.core.streaming import streaming_diversify
 from repro.data.synthetic import make_synthetic_instance
+from repro.dynamic.engine import DynamicDiversifier
+from repro.dynamic.session import DynamicSession, ShardedDynamicEngine
 from repro.exceptions import InvalidParameterError, SolverError
 from repro.functions.coverage import CoverageFunction
 from repro.matroids.partition import PartitionMatroid
@@ -208,6 +210,60 @@ def test_p_rule_holds_on_every_door(instance, door, p):
         else:
             with pytest.raises(InvalidParameterError):
                 run(instance, p, algorithm)
+
+
+_POINTS = np.random.default_rng(4).normal(size=(15, 2))
+_DISTANCES = np.linalg.norm(_POINTS[:, None] - _POINTS[None, :], axis=-1)
+
+
+def _sharded(i, value, knob):
+    """``solve_sharded`` (two shards unless sized) with ``knob=value``."""
+    options = {knob: value} if knob == "shard_size" else {"shards": 2, knob: value}
+    return solve_sharded(i.quality, i.metric, tradeoff=0.2, p=3, **options).order
+
+
+def _engine(i, value, knob):
+    """A sharded engine (p 3, shards of 4) with ``knob=value``; its solution."""
+    options = {"p": 3, "shard_size": 4, knob: value}
+    weights = i.quality.weights_view()
+    return sorted(ShardedDynamicEngine(_POINTS, weights, **options).solution)
+
+
+#: Every count knob beside the solve ``p``, as ``door(instance, value)``.
+COUNT_KNOBS = {
+    **{
+        f"solve_sharded.{knob}": lambda i, v, knob=knob: _sharded(i, v, knob)
+        for knob in (
+            "shards",
+            "shard_size",
+            "per_shard_p",
+            "max_workers",
+            "shard_retries",
+        )
+    },
+    **{
+        f"sharded_engine.{knob}": lambda i, v, knob=knob: _engine(i, v, knob)
+        for knob in ("p", "shard_size", "per_shard_p")
+    },
+    "dense_engine.p": lambda i, v: sorted(
+        DynamicDiversifier(i.quality.weights_view(), _DISTANCES, v).solution
+    ),
+    "session.p": lambda i, v: sorted(
+        DynamicSession(i.quality.weights_view(), v, distances=_DISTANCES).solution
+    ),
+}
+
+
+@pytest.mark.parametrize("door", sorted(COUNT_KNOBS))
+@pytest.mark.parametrize("value", [2.5, True, "4", np.int64(4)], ids=repr)
+def test_count_knobs_hold_the_integer_rule(instance, door, value):
+    """A non-integer count raises InvalidParameterError; a NumPy one is an int."""
+    run = COUNT_KNOBS[door]
+    if isinstance(value, np.integer):
+        assert run(instance, value) == run(instance, int(value))
+    else:
+        with pytest.raises(InvalidParameterError):
+            run(instance, value)
 
 
 def _objective(instance):

@@ -25,6 +25,9 @@ from repro.dynamic.session import (
 )
 from repro.exceptions import InvalidParameterError, PerturbationError
 from repro.metrics.euclidean import EuclideanMetric
+from repro.obs import get_registry
+from repro.obs.instrument import SHARD_FAILURES
+from repro.obs.trace import Trace
 from repro.testing.faults import CrashingMetric
 
 
@@ -352,6 +355,87 @@ class TestShardedFaults:
         assert session.mode == "sharded"
         assert session.degraded
         assert len(session.solution) == 5
+
+
+class TestShardedPipeline:
+    """The engine repairs and re-solves through ``solve_sharded``'s stages."""
+
+    def test_touched_winner_outside_the_solution_resolves_the_core(self):
+        points, weights = _sharded_instance()
+        engine = ShardedDynamicEngine(points, weights, 5, shard_size=16)
+        winners = {e for _, shard in engine.snapshot().winners for e in shard}
+        assert 28 in winners - engine.solution
+        assert engine.solution_value == pytest.approx(46.17, abs=0.01)
+        outcome = engine.apply_events(
+            EventBatchBuilder().set_weight(28, 1000.0).build()
+        )
+        assert outcome.metadata["core_resolved"]
+        assert 28 in engine.solution
+        full = engine.resolve_full(adopt=False)
+        assert full.objective_value == pytest.approx(1044.67, abs=0.01)
+        assert engine.solution_value == pytest.approx(full.objective_value)
+
+    def test_resolve_full_solves_the_engine_shards(self):
+        points, weights = _sharded_instance()
+        engine = ShardedDynamicEngine(points, weights, 5, shard_size=16)
+        sharding = engine.resolve_full(adopt=False).metadata["sharding"]
+        assert sharding["shard_sizes"] == [16, 16, 16, 12]
+        engine.apply_events(EventBatchBuilder().delete(0).delete(17).build())
+        sharding = engine.resolve_full(adopt=False).metadata["sharding"]
+        assert sharding["shard_sizes"] == [15, 15, 16, 12]
+        live_per_shard = np.bincount(engine.active_elements() // 16)
+        assert sharding["shard_sizes"] == live_per_shard.tolist()
+
+    def test_appending_insert_under_an_override_repairs_its_shard(self):
+        points, weights = _sharded_instance()
+        engine = ShardedDynamicEngine(points, weights, 5, shard_size=16)
+        engine.apply_events(EventBatchBuilder().set_distance(0, 1, 9.5).build())
+        outcome = engine.apply_events(
+            EventBatchBuilder().insert(50.0, point=np.zeros(3)).build()
+        )
+        assert outcome.metadata["inserted"] == (60,)
+        assert outcome.metadata["dirty_shards"] == (3,)
+        assert 60 in engine.solution
+        assert engine.distance(0, 1) == 9.5
+
+    def test_shard_failures_share_the_stage_record_and_counter(self):
+        points, weights = _sharded_instance()
+        factory = lambda pts: CrashingMetric(  # noqa: E731
+            EuclideanMetric(pts), only_in_workers=False, fail_times=1
+        )
+        registry = get_registry()
+        was_enabled = registry.enabled
+        registry.enable()
+        try:
+            before = SHARD_FAILURES.value(stage="serial")
+            engine = ShardedDynamicEngine(
+                points, weights, 5, shard_size=16, metric_factory=factory
+            )
+            assert SHARD_FAILURES.value(stage="serial") == before + 1
+        finally:
+            if not was_enabled:
+                registry.disable()
+        [failure] = engine.failures
+        assert failure["tick"] == 0
+        assert failure["stage"] == "serial"
+        assert set(failure) == {"tick", "shard", "stage", "error"}
+
+    def test_traced_tick_records_the_pipeline_spans(self):
+        points, weights = _sharded_instance()
+        trace = Trace()
+        session = DynamicSession(
+            weights,
+            5,
+            points=points,
+            shard_size=16,
+            control=RunControl(trace=trace),
+        )
+        session.apply_events(EventBatchBuilder().set_weight(28, 1000.0).build())
+        [repair] = trace.find("repair")
+        shards = [s for s in trace.find("shard") if s.parent_id == repair.span_id]
+        assert [s.attrs["shard"] for s in shards] == [1]
+        [final] = trace.find("final_solve")
+        assert final.parent_id == repair.span_id
 
 
 class TestShardedFacade:

@@ -188,6 +188,26 @@ def test_solve_sharded_with_candidates_checks_once(checks):
     assert len(checks) == 1
 
 
+def test_one_shard_solve_sharded_checks_once(checks):
+    objective = _objective()
+    result = solve_sharded(
+        objective.quality,
+        objective.metric,
+        tradeoff=0.3,
+        p=3,
+        shards=1,
+        candidates=POOL,
+    )
+    assert result.metadata["sharding"]["degenerate"]
+    assert len(checks) == 1
+    plain = solve(
+        objective.quality, objective.metric, tradeoff=0.3, p=3, candidates=POOL
+    )
+    assert result.order == plain.order
+    assert result.objective_value == plain.objective_value
+    assert result.metadata["candidates"] == plain.metadata["candidates"]
+
+
 def test_sharded_engine_tick_checks_no_pool(checks):
     engine = ShardedDynamicEngine(_points(64), _weights(64), 5, shard_size=16)
     checks.clear()
@@ -202,4 +222,12 @@ def test_sharded_engine_tick_checks_no_pool(checks):
     assert outcome.metadata["dirty_shards"] == (0, 2)
     assert outcome.metadata["core_resolved"]
     assert engine.num_overrides == 1
+    assert len(checks) == 0
+
+
+def test_sharded_engine_resolve_full_checks_no_pool(checks):
+    engine = ShardedDynamicEngine(_points(64), _weights(64), 5, shard_size=16)
+    checks.clear()
+    result = engine.resolve_full(adopt=False)
+    assert result.metadata["sharding"]["shard_sizes"] == [16, 16, 16, 16]
     assert len(checks) == 0

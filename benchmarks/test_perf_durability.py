@@ -4,9 +4,10 @@ Two contracts from the write-ahead-log subsystem:
 
 * **Journal overhead ≤10% (fsync="interval").**  A durable sharded session
   consuming the same event stream as a plain one must stay within 10% of
-  its throughput: journaling is one in-memory ``np.savez`` encode plus one
-  buffered append per tick, with fsync amortized across the interval — it
-  must never rival the repair work itself.
+  its throughput: journaling is one in-memory raw-record encode (a header,
+  array descriptors and the arrays' bytes) plus one buffered append per
+  tick, with fsync amortized across the interval — it must never rival the
+  repair work itself.
 
 * **Recovery stays bounded for a 10⁴-tick journal at n=10k.**  Replay runs
   every journaled tick back through the normal apply path, so its cost is

@@ -33,7 +33,6 @@ import hashlib
 import os
 import pickle
 import struct
-import zipfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -241,12 +240,9 @@ class DurableStore:
             )
         try:
             batch = decode_event_batch(body[size:])
-        # What np.load and the archive lookups raise on bytes that are not an
-        # encoded event batch.
-        except (EOFError, LookupError, RuntimeError, ValueError,
-                zipfile.BadZipFile) as error:
+        except ValueError as error:  # not an event-batch record
             raise RecoveryError(
-                f"a tick record's batch bytes do not decode: {error!r}"
+                f"a tick record's batch bytes do not decode: {error}"
             ) from error
         return batch, None if updates == -1 else updates
 

@@ -32,7 +32,8 @@ writes anything; it also rejects malformed batches built without a builder.
 
 from __future__ import annotations
 
-import io
+import math
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
@@ -334,10 +335,30 @@ class EventBatchBuilder:
 # ----------------------------------------------------------------------
 # Wire format (write-ahead log records)
 # ----------------------------------------------------------------------
-# Batches are journaled as an ``np.savez`` archive rather than a pickle:
-# the payload is then pure typed arrays, so a corrupt or adversarial log
-# record can at worst fail to parse — it cannot execute code on replay.
-_ENCODING_VERSION = 1
+# A batch is journaled as one raw record of typed arrays, never a pickle, so
+# a corrupt or adversarial log record can at worst fail to parse; it cannot
+# execute code on replay.  The record, all little-endian:
+#
+#   header       magic b"EVTB", u16 version, u16 flags (bit 0: insert
+#                points present), u32 insert-row count, 4 pad bytes
+#   descriptors  one per array: dtype kind (b"i", b"u" or b"f"), u8
+#                itemsize, u8 ndim (1 or 2), 5 pad bytes, u64 rows, u64
+#                columns (0 for a vector)
+#   payloads     each array's C-order bytes, in descriptor order
+#
+# The arrays are the ``_ARRAY_FIELDS`` in order, then the insert rows, then
+# the insert points.  Header and descriptors are multiples of 8 bytes, so
+# 8-byte payloads decode aligned.
+_ENCODING_VERSION = 2
+_MAGIC = b"EVTB"
+_HEADER = struct.Struct("<4sHHI4x")
+_DESCRIPTOR = struct.Struct("<cBB5xQQ")
+_HAS_POINTS = 1
+_NUMERIC = {
+    (kind.encode(), size): np.dtype(f"<{kind}{size}")
+    for kind, sizes in (("i", (1, 2, 4, 8)), ("u", (1, 2, 4, 8)), ("f", (2, 4, 8)))
+    for size in sizes
+}
 
 _ARRAY_FIELDS = (
     "weight_set_elements",
@@ -359,43 +380,93 @@ def encode_event_batch(batch: EventBatch) -> bytes:
     The inverse of :func:`decode_event_batch`; round-tripping is exact
     (dtypes, values and the one-of insert representation all survive), which
     is what lets the write-ahead log replay a journaled tick bit-identically.
+    Raises ``ValueError`` for an array that is not a vector or matrix of
+    integers or floats, which no planned tick holds.
     """
-    arrays = {name: np.asarray(getattr(batch, name)) for name in _ARRAY_FIELDS}
-    arrays["__meta__"] = np.array(
-        [
-            _ENCODING_VERSION,
-            len(batch.insert_distances),
-            0 if batch.insert_points is None else 1,
-        ],
-        dtype=np.int64,
-    )
-    for index, row in enumerate(batch.insert_distances):
-        arrays[f"__insert_row_{index}__"] = np.asarray(row)
+    arrays = [getattr(batch, name) for name in _ARRAY_FIELDS]
+    arrays.extend(batch.insert_distances)
+    flags = 0
     if batch.insert_points is not None:
-        arrays["__insert_points__"] = np.asarray(batch.insert_points)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
+        arrays.append(batch.insert_points)
+        flags = _HAS_POINTS
+    parts = [
+        _HEADER.pack(_MAGIC, _ENCODING_VERSION, flags, len(batch.insert_distances))
+    ]
+    payloads = []
+    for array in arrays:
+        array = np.asarray(array)
+        kind = array.dtype.kind.encode()
+        dtype = _NUMERIC.get((kind, array.dtype.itemsize))
+        if dtype is None or array.ndim not in (1, 2):
+            raise ValueError(
+                f"cannot encode a {array.ndim}-D {array.dtype} array in an "
+                f"event-batch record"
+            )
+        columns = array.shape[1] if array.ndim == 2 else 0
+        parts.append(
+            _DESCRIPTOR.pack(kind, dtype.itemsize, array.ndim, len(array), columns)
+        )
+        payloads.append(array.astype(dtype, copy=False).tobytes())
+    return b"".join(parts + payloads)
 
 
 def decode_event_batch(data: bytes) -> EventBatch:
-    """Reconstruct the :class:`EventBatch` serialized by :func:`encode_event_batch`."""
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-        meta = archive["__meta__"]
-        version = int(meta[0])
-        if version != _ENCODING_VERSION:
-            raise SnapshotVersionError(
-                f"event-batch record has encoding version {version}; this build "
-                f"reads version {_ENCODING_VERSION}"
-            )
-        fields = {name: _readonly(archive[name]) for name in _ARRAY_FIELDS}
-        num_rows, has_points = int(meta[1]), bool(meta[2])
-        insert_rows = tuple(
-            _readonly(archive[f"__insert_row_{index}__"]) for index in range(num_rows)
+    """Reconstruct the :class:`EventBatch` serialized by :func:`encode_event_batch`.
+
+    The arrays are read-only views of ``data`` (of a copy, when ``data`` is
+    a mutable buffer).  Bytes that are not such a record raise
+    ``ValueError``; every count and shape is checked against the record's
+    length before any array is read.  A record of another encoding version
+    raises :class:`~repro.exceptions.SnapshotVersionError`.
+    """
+    data = bytes(data)  # no copy for bytes, whose views NumPy makes read-only
+    if len(data) < _HEADER.size:
+        raise ValueError(f"event-batch record of {len(data)} bytes has no header")
+    magic, version, flags, num_rows = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise ValueError("the bytes are not an event-batch record (bad magic)")
+    if version != _ENCODING_VERSION:
+        raise SnapshotVersionError(
+            f"event-batch record has encoding version {version}; this build "
+            f"reads version {_ENCODING_VERSION}"
         )
-        insert_points = _readonly(archive["__insert_points__"]) if has_points else None
+    if flags & ~_HAS_POINTS:
+        raise ValueError(f"event-batch record has unknown flags {flags:#x}")
+    has_points = bool(flags & _HAS_POINTS)
+    count = len(_ARRAY_FIELDS) + num_rows + has_points
+    offset = _HEADER.size + count * _DESCRIPTOR.size
+    if offset > len(data):
+        raise ValueError(
+            f"event-batch record of {len(data)} bytes is too short for the "
+            f"descriptors of its {count} arrays"
+        )
+    specs = []
+    end = offset
+    for kind, itemsize, ndim, rows, columns in _DESCRIPTOR.iter_unpack(
+        memoryview(data)[_HEADER.size : offset]
+    ):
+        dtype = _NUMERIC.get((kind, itemsize))
+        if dtype is None or ndim not in (1, 2):
+            raise ValueError(
+                f"event-batch record holds an unsupported array: dtype kind "
+                f"{kind!r}, itemsize {itemsize}, {ndim} dimensions"
+            )
+        shape = (rows,) if ndim == 1 else (rows, columns)
+        size = math.prod(shape)
+        specs.append((dtype, shape, size))
+        end += size * itemsize
+    if end != len(data):
+        raise ValueError(
+            f"event-batch record of {len(data)} bytes disagrees with the shapes "
+            f"of its arrays ({end} bytes)"
+        )
+    arrays = []
+    for dtype, shape, size in specs:
+        arrays.append(np.frombuffer(data, dtype, size, offset).reshape(shape))
+        offset += size * dtype.itemsize
+    insert_rows = arrays[len(_ARRAY_FIELDS) : len(_ARRAY_FIELDS) + num_rows]
     return EventBatch(
-        insert_distances=insert_rows,
-        insert_points=insert_points,
-        **fields,
+        insert_distances=tuple(insert_rows),
+        insert_points=arrays[-1] if has_points else None,
+        **dict(zip(_ARRAY_FIELDS, arrays)),
     )

@@ -11,9 +11,12 @@ of a matrix write.
 Overrides compose with the lazy tier: :meth:`PatchedMetric.restrict_lazy`
 re-maps the pool's overrides onto local indices and wraps the base's lazy
 restriction, so the sharded solver's per-shard sub-metrics observe the
-patches without materializing anything.  Every read walks the per-endpoint
-index of the elements it is asked about, never the whole table, so a
-long-lived overlay updated in place costs a read only the patches it touches.
+patches without materializing anything.  A read walks the per-endpoint
+index of the elements it is asked about; a restriction finds its pool's
+overridden members through a boolean mask over the ids and visits only
+their patches.  Neither scans the whole table, so a long-lived overlay
+updated in place costs a read only the patches it touches, and a
+restriction O(|pool|) plus the pool's own patches.
 Nothing here re-checks the triangle inequality — arbitrary overrides can
 leave the relaxed-metric regime the paper's Section 8 discusses, which is the
 caller's trade-off to make
@@ -57,8 +60,28 @@ class PatchedMetric(Metric):
         # Per-endpoint index: every read walks the patches of the elements it
         # is asked about through this, never the whole table.
         self._by_node: Dict[int, Dict[int, float]] = {}
+        # ``_marked[u]`` is true exactly when ``u`` is a key of ``_by_node``,
+        # so a restriction finds its pool's patched members in O(|pool|).  It
+        # covers at least ``base.n`` ids; ``rebase`` grows it.
+        self._marked = np.zeros(base.n, dtype=bool)
         for (u, v), value in (overrides or {}).items():
             self.set_override(u, v, value)
+
+    @classmethod
+    def _adopt(
+        cls, base: Metric, table: Dict[Tuple[int, int], float]
+    ) -> "PatchedMetric":
+        """An overlay owning ``table``, whose pairs are already normalized
+        and checked (a restriction of a checked overlay), without re-running
+        :meth:`set_override` on every entry."""
+        metric = cls(base)
+        by_node = metric._by_node
+        for (u, v), value in table.items():
+            by_node.setdefault(u, {})[v] = value
+            by_node.setdefault(v, {})[u] = value
+        metric._overrides = table
+        metric._marked[list(by_node)] = True
+        return metric
 
     # ------------------------------------------------------------------
     # Override table
@@ -74,11 +97,17 @@ class PatchedMetric(Metric):
         The dynamic engine calls this when inserts grow the point matrix
         under the overlay; ``base`` must still cover every overridden pair.
         """
-        if self._by_node and max(self._by_node) >= base.n:
+        # Every overridden id lies below the current base's n, so only a
+        # shrinking base can drop one.
+        dropped = np.flatnonzero(self._marked[base.n : self._base.n])
+        if dropped.size:
             raise InvalidParameterError(
                 f"the new base covers {base.n} elements but overrides reach "
-                f"element {max(self._by_node)}"
+                f"element {base.n + int(dropped[-1])}"
             )
+        if base.n > self._marked.size:
+            grown = np.zeros(base.n - self._marked.size, dtype=bool)
+            self._marked = np.concatenate([self._marked, grown])
         self._base = base
 
     @property
@@ -110,6 +139,7 @@ class PatchedMetric(Metric):
         self._overrides[(u, v)] = value
         self._by_node.setdefault(u, {})[v] = value
         self._by_node.setdefault(v, {})[u] = value
+        self._marked[u] = self._marked[v] = True
 
     def drop_overrides(self, elements: Iterable[Element]) -> None:
         """Remove every override touching any of ``elements``.
@@ -118,12 +148,16 @@ class PatchedMetric(Metric):
         insert reusing the id does not inherit stale patches.
         """
         for u in {int(e) for e in elements}:
-            for v in self._by_node.pop(u, {}):
+            if u not in self._by_node:
+                continue
+            self._marked[u] = False
+            for v in self._by_node.pop(u):
                 del self._overrides[(u, v) if u < v else (v, u)]
                 partners = self._by_node[v]
                 del partners[u]
                 if not partners:
                     del self._by_node[v]
+                    self._marked[v] = False
 
     # ------------------------------------------------------------------
     # Metric interface
@@ -201,7 +235,7 @@ class PatchedMetric(Metric):
         remapped = self._remapped(pool)
         if not remapped:
             return lazy
-        return PatchedMetric(lazy, remapped)
+        return PatchedMetric._adopt(lazy, remapped)
 
     def _restrict(self, pool: np.ndarray) -> Metric:
         from repro.metrics.matrix import DistanceMatrix
@@ -219,14 +253,13 @@ class PatchedMetric(Metric):
     def _remapped(self, pool: np.ndarray) -> Dict[Tuple[int, int], float]:
         """The overrides between members of ``pool``, in pool-local indices.
 
-        Only pool members with an override can end one, so one ``np.isin``
-        against the overridden nodes picks them and the loop visits those
-        alone, in pool order.
+        Only pool members with an override can end one, so the mask picks
+        them and the loop visits those alone, in pool order: the cost is
+        ``|pool|`` plus their patches, whatever the size of the table.
         """
         if not self._by_node:
             return {}
-        nodes = np.fromiter(self._by_node, dtype=int, count=len(self._by_node))
-        hits = np.flatnonzero(np.isin(pool, nodes))
+        hits = np.flatnonzero(self._marked[pool])
         positions = dict(zip(pool[hits].tolist(), hits.tolist()))
         remapped: Dict[Tuple[int, int], float] = {}
         for g, i in positions.items():

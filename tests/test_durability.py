@@ -16,7 +16,6 @@ import os
 import pickle
 import shutil
 import struct
-import zipfile
 import dataclasses
 
 import numpy as np
@@ -84,12 +83,13 @@ def _npz(**arrays) -> bytes:
 
 
 #: Batch bytes that are not an encoded event batch, each with the error
-#: ``np.load`` or the archive lookup raises on it.
+#: ``decode_event_batch`` raises on it.  An npz holding only meta is what a
+#: version-1 record looks like; no magic, so no version, is read from any.
 _BAD_BATCHES = {
     "junk": (b"\x01" * 13, ValueError),
-    "bare zip header": (b"PK\x03\x04" + b"\x00" * 26, zipfile.BadZipFile),
-    "npz without meta": (_npz(weight_deltas=np.zeros(1)), KeyError),
-    "npz with only meta": (_npz(__meta__=np.array([1, 0, 0])), KeyError),
+    "bare zip header": (b"PK\x03\x04" + b"\x00" * 26, ValueError),
+    "npz without meta": (_npz(weight_deltas=np.zeros(1)), ValueError),
+    "npz with only meta": (_npz(__meta__=np.array([1, 0, 0])), ValueError),
 }
 
 
@@ -372,6 +372,151 @@ class TestTickRecord:
         with pytest.raises(RecoveryError) as raised:
             DynamicSession.recover(directory)
         assert isinstance(raised.value.__cause__, cause)
+
+
+def _with_prefix(data: bytes) -> bytes:
+    """``data`` as a tick record body whose ``<Qq`` prefix matches it."""
+    return struct.pack("<Qq", len(data), -1) + data
+
+
+#: One batch of each shape a tick record carries.
+_CODEC_BATCHES = {
+    "empty": lambda: EventBatchBuilder().build(),
+    "weights": lambda: (
+        EventBatchBuilder().set_weight(2, 1.5).change_weight(0, -0.25).build()
+    ),
+    "distances": lambda: (
+        EventBatchBuilder().set_distance(3, 0, 2.0).change_distance(1, 2, 0.5).build()
+    ),
+    "insert points": lambda: (
+        EventBatchBuilder()
+        .insert(1.0, point=[0.1, 0.2])
+        .insert(2.0, point=[0.3, 0.4])
+        .build()
+    ),
+    "insert rows": lambda: (
+        EventBatchBuilder()
+        .insert(1.0, distances=np.linspace(1.0, 2.0, 4))
+        .insert(0.5, distances=np.linspace(2.0, 1.0, 5))
+        .build()
+    ),
+    "deletes": lambda: EventBatchBuilder().delete(4).delete(1).build(),
+}
+
+
+def _mutations(data: bytes):
+    """Every truncation, single-byte flip and one-byte extension of ``data``."""
+    for length in range(len(data)):
+        yield data[:length]
+    for index in range(len(data)):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytes([data[index] ^ mask])
+            yield data[:index] + flipped + data[index + 1 :]
+    for extra in (0x00, 0x5A, 0xFF):
+        yield data + bytes([extra])
+
+
+class TestTickRecordCodec:
+    """The raw tick record: exact round trips, and damage that decodes or
+    raises one of the two durability errors, never anything else."""
+
+    @pytest.mark.parametrize("name", sorted(_CODEC_BATCHES))
+    def test_every_field_round_trips(self, name):
+        batch = _CODEC_BATCHES[name]()
+        decoded, updates = DurableStore.decode_tick(
+            _with_prefix(encode_event_batch(batch))
+        )
+        assert updates is None
+        for field in dataclasses.fields(batch):
+            want, got = getattr(batch, field.name), getattr(decoded, field.name)
+            if field.name == "insert_distances":
+                assert len(got) == len(want)
+                pairs = list(zip(want, got))
+            elif want is None:
+                assert got is None
+                pairs = []
+            else:
+                pairs = [(want, got)]
+            for a, b in pairs:
+                assert b.dtype == a.dtype and b.shape == a.shape
+                assert np.array_equal(a, b)
+                assert not b.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(_CODEC_BATCHES))
+    def test_damage_decodes_or_raises_a_durability_error(self, name):
+        data = encode_event_batch(_CODEC_BATCHES[name]())
+        outcomes = {"decoded": 0, "recovery": 0, "version": 0}
+        for mutated in _mutations(data):
+            try:
+                DurableStore.decode_tick(_with_prefix(mutated))
+            except RecoveryError:
+                outcomes["recovery"] += 1
+            except SnapshotVersionError:
+                # Only a header that carries the magic names a version.
+                assert mutated[:4] == data[:4]
+                outcomes["version"] += 1
+            else:
+                outcomes["decoded"] += 1
+        assert all(outcomes.values()), outcomes
+
+    @pytest.mark.parametrize(
+        "junk",
+        [b"", b"\x02", b"\x02\x00" * 40, struct.pack("<HH", 1, 0) + bytes(60)],
+        ids=["empty", "one byte", "repeated 2", "leading 1"],
+    )
+    def test_junk_is_not_read_as_a_version(self, junk):
+        with pytest.raises(RecoveryError):
+            DurableStore.decode_tick(_with_prefix(junk))
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_well_formed_header_of_another_version(self, monkeypatch, version):
+        import repro.dynamic.events as events
+
+        monkeypatch.setattr(events, "_ENCODING_VERSION", version)
+        data = encode_event_batch(_CODEC_BATCHES["weights"]())
+        monkeypatch.undo()
+        with pytest.raises(SnapshotVersionError):
+            DurableStore.decode_tick(_with_prefix(data))
+
+    def test_counts_and_shapes_are_checked_against_the_length(self):
+        import repro.dynamic.events as events
+
+        header, descriptor = events._HEADER, events._DESCRIPTOR
+        data = encode_event_batch(_CODEC_BATCHES["empty"]())
+        magic, version, flags, _ = header.unpack_from(data)
+        many_rows = header.pack(magic, version, flags, 2**32 - 1) + data[header.size :]
+        kind, itemsize, ndim, _, columns = descriptor.unpack_from(data, header.size)
+        huge_dim = (
+            data[: header.size]
+            + descriptor.pack(kind, itemsize, ndim, 2**63, columns)
+            + data[header.size + descriptor.size :]
+        )
+        for damaged in (many_rows, huge_dim):
+            with pytest.raises(RecoveryError):
+                DurableStore.decode_tick(_with_prefix(damaged))
+
+    @pytest.mark.parametrize("kind", [b"O", b"b", b"U", b"c", b"V"])
+    def test_only_numeric_dtypes_decode(self, kind):
+        import repro.dynamic.events as events
+
+        header, descriptor = events._HEADER, events._DESCRIPTOR
+        data = encode_event_batch(_CODEC_BATCHES["weights"]())
+        _, itemsize, ndim, rows, columns = descriptor.unpack_from(data, header.size)
+        damaged = (
+            data[: header.size]
+            + descriptor.pack(kind, itemsize, ndim, rows, columns)
+            + data[header.size + descriptor.size :]
+        )
+        with pytest.raises(RecoveryError):
+            DurableStore.decode_tick(_with_prefix(damaged))
+
+    @pytest.mark.parametrize(
+        "array", [np.array([True]), np.array([None]), np.array(["a"]), np.float64(1)]
+    )
+    def test_only_numeric_vectors_and_matrices_encode(self, array):
+        batch = dataclasses.replace(_CODEC_BATCHES["empty"](), weight_deltas=array)
+        with pytest.raises(ValueError):
+            encode_event_batch(batch)
 
 
 # ----------------------------------------------------------------------

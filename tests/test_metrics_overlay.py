@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dynamic.events import EventBatchBuilder
+from repro.dynamic.session import ShardedDynamicEngine
 from repro.exceptions import InvalidParameterError
 from repro.metrics.euclidean import EuclideanMetric
 from repro.metrics.overlay import PatchedMetric
@@ -155,3 +157,119 @@ def test_remapped_matches_the_full_pool_loop(seed):
     pool = rng.permutation(n)[: int(rng.integers(0, n + 1))]
     got = metric._remapped(pool)
     assert list(got.items()) == list(_remapped_reference(metric, pool).items())
+
+
+# ----------------------------------------------------------------------
+# The index of overridden ids, under the engine's own operations
+# ----------------------------------------------------------------------
+def _filtered(overrides, pool):
+    """Brute force: the pairs of ``overrides`` inside ``pool``, re-indexed."""
+    position = {g: i for i, g in enumerate(pool.tolist())}
+    out = {}
+    for (u, v), value in overrides.items():
+        if u in position and v in position:
+            out[tuple(sorted((position[u], position[v])))] = value
+    return out
+
+
+def _check_restrictions(metric, rng):
+    """Every restriction of ``metric`` agrees with a filter of its table."""
+    table = metric.overrides
+    n = metric.n
+    assert set(np.flatnonzero(metric._marked).tolist()) == {
+        e for pair in table for e in pair
+    }
+    patched = np.array(sorted({e for pair in table for e in pair}), dtype=int)
+    plain = np.setdiff1d(np.arange(n), patched)
+    # About half the overridden ids beside two plain ones.
+    mixed = np.concatenate(
+        [rng.permutation(patched)[: len(patched) // 2 + 1], plain[:2]]
+    )
+    pools = [
+        np.arange(n),
+        rng.permutation(n)[: int(rng.integers(1, n + 1))],
+        rng.permutation(mixed),
+    ]
+    reference = metric.to_matrix()
+    base = metric.base.to_matrix()
+    for pool in pools:
+        expected = _filtered(table, pool)
+        lazy = metric.restrict_lazy(pool)
+        got = lazy.overrides if isinstance(lazy, PatchedMetric) else {}
+        assert got == expected
+        matrix = base[np.ix_(pool, pool)]
+        for (i, j), value in expected.items():
+            matrix[i, j] = matrix[j, i] = value
+        np.testing.assert_array_equal(metric._restrict(pool).to_matrix(), matrix)
+        np.testing.assert_array_equal(matrix, reference[np.ix_(pool, pool)])
+        np.testing.assert_array_equal(lazy.to_matrix(), matrix)
+        if expected:
+            # The restriction owns its table: later parent writes stay out.
+            (i, j), value = next(iter(expected.items()))
+            metric.set_override(pool[i], pool[j], value + 1.0)
+            assert lazy.distance(i, j) == value
+            assert lazy.overrides == expected
+            metric.set_override(pool[i], pool[j], value)
+
+
+def _step(engine, rng):
+    """One random operation on ``engine``'s override table; the next engine."""
+    live = engine.active_elements()
+    table = engine._overlay.overrides
+    kind = rng.choice(["set", "set", "drop", "grow", "restore"])
+    batch = EventBatchBuilder()
+    if kind == "set":
+        for _ in range(int(rng.integers(1, 4))):
+            u, v = rng.choice(live, size=2, replace=False)
+            batch.set_distance(int(u), int(v), float(rng.integers(0, 40)))
+    elif kind == "drop" and live.size > engine.p + 1:
+        degree = {}
+        for pair in table:
+            for e in pair:
+                degree[e] = degree.get(e, 0) + 1
+        # Prefer an element whose partner then loses its last override.
+        lonely = [u for (u, v) in table if degree[v] == 1] + [
+            v for (u, v) in table if degree[u] == 1
+        ]
+        victim = int(rng.choice(lonely)) if lonely else int(rng.choice(live))
+        batch.delete(victim)
+    elif kind == "grow":
+        # One more point than there are retired slots: the base must grow.
+        for _ in range(engine.n - live.size + 1):
+            batch.insert(1.0, point=[float(rng.integers(-50, 50))])
+    elif kind == "restore":
+        return ShardedDynamicEngine.restore(engine.snapshot())
+    engine.apply_events(batch.build())
+    return engine
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_restrictions_match_a_filter_of_the_table_after_every_step(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 14))
+    engine = ShardedDynamicEngine(
+        _line_points(seed, n), rng.uniform(0.5, 2.0, n), 2, shard_size=4
+    )
+    for _ in range(20):
+        engine = _step(engine, rng)
+        _check_restrictions(engine._overlay, rng)
+
+
+def test_a_partner_losing_its_last_override_leaves_the_index():
+    metric = PatchedMetric(
+        EuclideanMetric(_line_points(0, 5)), {(0, 1): 5.0, (1, 2): 6.0, (3, 4): 1.0}
+    )
+    metric.drop_overrides([0])
+    assert np.flatnonzero(metric._marked).tolist() == [1, 2, 3, 4]
+    metric.drop_overrides([2])
+    assert np.flatnonzero(metric._marked).tolist() == [3, 4]
+    assert not isinstance(metric.restrict_lazy([0, 1, 2]), PatchedMetric)
+    metric.rebase(EuclideanMetric(_line_points(1, 9)))
+    metric.set_override(8, 1, 2.0)
+    assert metric.restrict_lazy([8, 0, 1]).overrides == {(0, 2): 2.0}
+    with pytest.raises(InvalidParameterError, match="element 8"):
+        metric.rebase(EuclideanMetric(_line_points(1, 5)))
+    metric.drop_overrides([8])
+    metric.rebase(EuclideanMetric(_line_points(1, 5)))
+    assert metric.n == 5
+    assert np.flatnonzero(metric._marked).tolist() == [3, 4]
